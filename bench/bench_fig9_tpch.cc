@@ -1,9 +1,10 @@
 // Reproduces Figure 9: TPC-H query latency for PolarDB-IMCI's column engine,
 // row-based PolarDB, and a ClickHouse stand-in (the same columnar engine in a
-// pure-OLAP configuration without Pack min/max pruning — DESIGN.md §2,
-// substitution 4). Paper shape to verify: column engine beats the row engine
-// by 1-2 orders of magnitude on scan-heavy queries (gmean x5.56 at 100G),
-// loses on the highly selective Q2, and tracks the ClickHouse stand-in.
+// pure-OLAP configuration without Pack min/max pruning; ClickHouse itself is
+// a separate server that this single-process build does not include). Paper
+// shape to verify: column engine beats the row engine by 1-2 orders of
+// magnitude on scan-heavy queries (gmean x5.56 at 100G), loses on the highly
+// selective Q2, and tracks the ClickHouse stand-in.
 #include <thread>
 
 #include "bench/bench_util.h"

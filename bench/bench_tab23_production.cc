@@ -1,7 +1,7 @@
 // Reproduces Table 2 (workload shapes), Table 3 (speed-up distribution) and
 // Figure 15 (representative query speedups) on the four synthetic customer
-// profiles standing in for the proprietary production traces (DESIGN.md §2,
-// substitution 6).
+// profiles standing in for the production traces, which are proprietary: each
+// profile matches the published aggregate shape, scaled down.
 #include "bench/bench_util.h"
 #include "workloads/production.h"
 

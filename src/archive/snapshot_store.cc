@@ -38,7 +38,7 @@ Status SnapshotStore::Register(uint64_t ckpt_id, Vid csn, Lsn start_lsn) {
   // tear reports success here; Restore's checksum verification must catch
   // it as Corruption — never a silently shorter history).
   fault::ScopedContext seal_scope("snapshot.seal");
-  // Freeze the page store: later checkpoint flushes overwrite page images in
+  // Copy the page store: later checkpoint flushes overwrite page images in
   // place, so the anchor keeps its own copy.
   std::string pages;
   const std::vector<PageId> ids = fs_->ListPages();
@@ -99,7 +99,7 @@ Status SnapshotStore::Register(uint64_t ckpt_id, Vid csn, Lsn start_lsn) {
   }
   if (!replaced) anchors.push_back(a);
   if (retention_ > 0 && anchors.size() > retention_) {
-    // Cap exceeded: drop the oldest anchors (their frozen blobs first, then
+    // Cap exceeded: drop the oldest anchors (their copied blobs first, then
     // the index entries). A restore to an LSN below the surviving anchors is
     // no longer possible, which is exactly what raises the archive GC floor.
     std::sort(anchors.begin(), anchors.end(),

@@ -15,10 +15,10 @@ class PolarFs;
 
 /// Restore anchors for point-in-time recovery. Every completed checkpoint
 /// (and the post-load base image, anchor id 0) is registered here as a
-/// self-contained snapshot: a frozen copy of the shared page store, the
+/// self-contained snapshot: a point-in-time copy of the shared page store, the
 /// row-store control files (registry, base_lsn) and — for checkpoint
 /// anchors — the column-index checkpoint directory, all under a checksummed
-/// manifest. Freezing a copy is what makes the anchor usable later: the
+/// manifest. Keeping a copy is what makes the anchor usable later: the
 /// live page store is overwritten in place by subsequent flushes, so "the
 /// pages as of checkpoint N" exist nowhere else once checkpoint N+1 runs.
 ///
@@ -27,7 +27,7 @@ class PolarFs;
 /// replays the archived + live redo suffix on top.
 ///
 /// Layout (all names in the owning PolarFs's file namespace):
-///   archive/snap/<ckpt_id>/PAGES      frozen page images
+///   archive/snap/<ckpt_id>/PAGES      copied page images
 ///   archive/snap/<ckpt_id>/FILES      row-store + checkpoint files
 ///   archive/snap/<ckpt_id>/MANIFEST   sizes + hashes of the two blobs
 ///   archive/snap/INDEX                checksummed anchor list
@@ -44,7 +44,7 @@ class SnapshotStore {
 
   /// Retention cap: keep only the newest `keep` anchors (by checkpoint id);
   /// 0 (default) keeps everything. Enforced at Register time — when a new
-  /// anchor pushes the count over the cap, the oldest anchors' frozen blobs
+  /// anchor pushes the count over the cap, the oldest anchors' copied blobs
   /// are deleted and the index rewritten. Dropping anchors raises the GC
   /// floor (GcFloorLsn), which is what makes old archived log segments
   /// eligible for reclamation.
@@ -57,7 +57,7 @@ class SnapshotStore {
   /// the oldest anchor starts at 0.
   Lsn GcFloorLsn() const;
 
-  /// Freezes the current shared state as a restore anchor. Idempotent per
+  /// Copies the current shared state as a restore anchor. Idempotent per
   /// ckpt_id (a re-registration replaces the anchor). Call quiesced — at a
   /// checkpoint boundary, right after the page flush — so the copied pages
   /// form one consistent cut.
@@ -71,7 +71,7 @@ class SnapshotStore {
   /// All registered anchors (verified against the index checksum).
   Status Anchors(std::vector<Anchor>* out) const;
 
-  /// Primes `dest` with the anchor's frozen state: pages, row-store files,
+  /// Primes `dest` with the anchor's copied state: pages, row-store files,
   /// and (for checkpoint anchors) the column checkpoint directory plus a
   /// CURRENT pointer naming it. Verifies every blob against the manifest
   /// hashes — a torn or truncated anchor is an error, never a silent

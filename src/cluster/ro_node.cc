@@ -120,7 +120,6 @@ Status RoNode::RebuildFromRowStore() {
       return inner.ok();
     }));
     IMCI_RETURN_NOT_OK(inner);
-    index->FreezeFullGroups();
   }
   return Status::OK();
 }
@@ -224,7 +223,7 @@ Status RoNode::Execute(const LogicalRef& plan, std::vector<Row>* out,
                        EngineChoice* chosen) {
   if (options_.replication.source == ApplySource::kLogicalBinlog) {
     // The binlog carries no page changes, so this node's row replica is
-    // frozen at the base state — only the column engine serves fresh data
+    // fixed at the base state — only the column engine serves fresh data
     // on the strawman arm (one more cost REDO reuse doesn't pay: it keeps
     // both engines current from a single log).
     if (chosen) *chosen = EngineChoice::kColumnEngine;

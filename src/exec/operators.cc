@@ -1,6 +1,9 @@
 #include "exec/operators.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -46,32 +49,29 @@ ColumnScanOp::ColumnScanOp(ColumnIndex* index, std::vector<int> cols,
     out_types_.push_back(index_->schema().column(c).type);
   }
   if (part_.col >= 0) part_pack_ = index_->PackForColumn(part_.col);
-}
-
-bool ColumnScanOp::GroupPrunable(const RowGroup& g) const {
-  if (!pruning_ || !filter_) return false;
   std::vector<IntBound> bounds;
   ExtractIntBounds(filter_, &bounds);
   for (const IntBound& b : bounds) {
-    if (b.col < 0 || b.col >= static_cast<int>(packs_.size())) {
-      continue;
+    if (b.col >= 0 && b.col < static_cast<int>(packs_.size())) {
+      bounds_.push_back(b);
     }
-    const PackMeta& meta = g.meta(packs_[b.col]);
-    if (!meta.has_value) continue;
-    // Disjoint ranges -> no row in this group can satisfy the conjunct.
-    if (b.has_lo && meta.max_i < b.lo) return true;
-    if (b.has_hi && meta.min_i > b.hi) return true;
+  }
+}
+
+bool ColumnScanOp::GroupPrunable(const RowGroup& g) const {
+  // Disjoint ranges -> no row in this group can satisfy the conjunct.
+  for (const IntBound& b : bounds_) {
+    if (g.IntRangeDisjoint(packs_[b.col], b.has_lo, b.lo, b.has_hi, b.hi)) {
+      return true;
+    }
   }
   return false;
 }
 
 bool ColumnScanOp::PartitionSkipsGroup(const RowGroup& g) const {
-  if (part_pack_ < 0) return false;
-  const PackMeta& meta = g.meta(part_pack_);
-  if (!meta.has_value) return false;
-  if (part_.has_lo && meta.max_i < part_.lo) return true;
-  if (part_.has_hi && meta.min_i > part_.hi) return true;
-  return false;
+  return part_pack_ >= 0 &&
+         g.IntRangeDisjoint(part_pack_, part_.has_lo, part_.lo, part_.has_hi,
+                            part_.hi);
 }
 
 Status ColumnScanOp::ScanGroup(const RowGroup& g, uint32_t used, Vid read_vid,
@@ -184,10 +184,9 @@ void RowScanOp::AppendRow(const Row& row, Batch* batch) const {
 }
 
 Status RowScanOp::Execute(ExecContext* ctx, RowSet* out) {
-  // read_vid pins the MVCC snapshot on tables that version their rows (the
-  // RW node); kMaxVid means "latest state" — the RO replica path, where the
-  // read view is enforced upstream by the applied VID.
-  const Vid read_vid = ctx != nullptr ? ctx->read_vid : kMaxVid;
+  // Every row read resolves at the pinned snapshot: RwNode::ExecuteSnapshot
+  // pins a read view, RoNode::ExecuteRow the applied commit point.
+  const Vid read_vid = ctx->read_vid;
   out->types = out_types_;
   Batch batch = Batch::Make(out_types_);
   Status inner;
@@ -213,25 +212,17 @@ Status RowScanOp::Execute(ExecContext* ctx, RowSet* out) {
     return true;
   };
   if (hint_.col < 0) {
-    IMCI_RETURN_NOT_OK(read_vid == kMaxVid
-                           ? table_->Scan(visit)
-                           : table_->SnapshotScan(read_vid, visit));
+    IMCI_RETURN_NOT_OK(table_->SnapshotScan(read_vid, visit));
   } else if (hint_.col == table_->schema().pk_col()) {
     IMCI_RETURN_NOT_OK(
-        read_vid == kMaxVid
-            ? table_->ScanRange(hint_.lo, hint_.hi, visit)
-            : table_->SnapshotScanRange(read_vid, hint_.lo, hint_.hi, visit));
+        table_->SnapshotScanRange(read_vid, hint_.lo, hint_.hi, visit));
   } else {
     std::vector<int64_t> pks;
-    IMCI_RETURN_NOT_OK(
-        read_vid == kMaxVid
-            ? table_->IndexLookupRange(hint_.col, hint_.lo, hint_.hi, &pks)
-            : table_->SnapshotIndexLookupRange(read_vid, hint_.col, hint_.lo,
-                                               hint_.hi, &pks));
+    IMCI_RETURN_NOT_OK(table_->SnapshotIndexLookupRange(
+        read_vid, hint_.col, hint_.lo, hint_.hi, &pks));
     Row row;
     for (int64_t pk : pks) {
-      Status got = read_vid == kMaxVid ? table_->Get(pk, &row)
-                                       : table_->SnapshotGet(read_vid, pk, &row);
+      Status got = table_->SnapshotGet(read_vid, pk, &row);
       if (got.IsNotFound()) continue;  // row vanished between lookup and get
       IMCI_RETURN_NOT_OK(got);
       if (!visit(pk, row)) break;
@@ -292,27 +283,40 @@ Status ProjectOp::Execute(ExecContext* ctx, RowSet* out) {
 
 namespace {
 
-/// Encodes join/group key values; returns false when any key is NULL (SQL:
-/// NULL keys never join).
+/// The one hash-key encoding, shared by join build and probe, group keys and
+/// COUNT DISTINCT: appends the bytes of non-NULL `v[row]`, equal exactly when
+/// the values compare equal. Integer-family values are fixed64; doubles are
+/// their bit pattern, with -0.0 folded into +0.0 and every NaN into one
+/// pattern (CompareValues treats both pairs as equal); strings are
+/// length-prefixed.
+void AppendKeyBytes(const ColumnVector& v, size_t row, std::string* out) {
+  switch (v.type) {
+    case DataType::kDouble: {
+      double d = v.dbls[row];
+      if (d == 0.0) d = 0.0;
+      if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
+      PutFixed64(out, std::bit_cast<uint64_t>(d));
+      break;
+    }
+    case DataType::kString:
+      PutFixed32(out, static_cast<uint32_t>(v.strs[row].size()));
+      out->append(v.strs[row]);
+      break;
+    default:
+      PutFixed64(out, static_cast<uint64_t>(v.ints[row]));
+      break;
+  }
+}
+
+/// Encodes a join key; returns false when any key is NULL (SQL: NULL keys
+/// never join).
 bool EncodeKey(const Batch& b, const std::vector<int>& key_cols, size_t row,
                std::string* out) {
   out->clear();
   for (int c : key_cols) {
     const ColumnVector& v = b.cols[c];
     if (v.nulls[row]) return false;
-    switch (v.type) {
-      case DataType::kDouble: {
-        PutFixed64(out, static_cast<uint64_t>(v.dbls[row] * 1e6));
-        break;
-      }
-      case DataType::kString:
-        PutFixed32(out, static_cast<uint32_t>(v.strs[row].size()));
-        out->append(v.strs[row]);
-        break;
-      default:
-        PutFixed64(out, static_cast<uint64_t>(v.ints[row]));
-        break;
-    }
+    AppendKeyBytes(v, row, out);
   }
   return true;
 }
@@ -554,20 +558,7 @@ Status HashAggOp::Execute(ExecContext* ctx, RowSet* out) {
         for (int c : group_cols_) {
           const ColumnVector& v = b.cols[c];
           key.push_back(v.nulls[ri] ? 'N' : 'V');
-          if (!v.nulls[ri]) {
-            switch (v.type) {
-              case DataType::kDouble:
-                PutFixed64(&key, static_cast<uint64_t>(v.dbls[ri] * 1e6));
-                break;
-              case DataType::kString:
-                PutFixed32(&key, static_cast<uint32_t>(v.strs[ri].size()));
-                key.append(v.strs[ri]);
-                break;
-              default:
-                PutFixed64(&key, static_cast<uint64_t>(v.ints[ri]));
-                break;
-            }
-          }
+          if (!v.nulls[ri]) AppendKeyBytes(v, ri, &key);
         }
         AggState& st = local[key];
         if (st.sums.empty()) {
@@ -617,15 +608,7 @@ Status HashAggOp::Execute(ExecContext* ctx, RowSet* out) {
             }
             case AggKind::kCountDistinct: {
               std::string enc;
-              switch (v.type) {
-                case DataType::kDouble:
-                  PutFixed64(&enc, static_cast<uint64_t>(v.dbls[ri] * 1e6));
-                  break;
-                case DataType::kString: enc = v.strs[ri]; break;
-                default:
-                  PutFixed64(&enc, static_cast<uint64_t>(v.ints[ri]));
-                  break;
-              }
+              AppendKeyBytes(v, ri, &enc);
               st.distincts[a].insert(std::move(enc));
               break;
             }

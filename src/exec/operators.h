@@ -78,8 +78,6 @@ class ColumnScanOp : public PhysOp {
 
   Status Execute(ExecContext* ctx, RowSet* out) override;
 
-  /// Exposed for the pruning ablation bench.
-  void set_pruning_enabled(bool on) { pruning_ = on; }
   uint64_t groups_pruned() const { return groups_pruned_; }
   uint64_t groups_scanned() const { return groups_scanned_; }
 
@@ -95,7 +93,7 @@ class ColumnScanOp : public PhysOp {
   ExprRef filter_;
   ScanPartition part_;
   int part_pack_ = -1;
-  bool pruning_ = true;
+  std::vector<IntBound> bounds_;  // filter conjuncts over output ordinals
   mutable std::atomic<uint64_t> groups_pruned_{0};
   mutable std::atomic<uint64_t> groups_scanned_{0};
 };

@@ -1,6 +1,7 @@
 #include "imci/checkpoint.h"
 
 #include "common/coding.h"
+#include "imci/compression.h"
 
 namespace imci {
 
@@ -231,7 +232,6 @@ Status ImciCheckpoint::LoadIndex(const std::string& data, ColumnIndex* index) {
     }
   }
   index->locator()->Restore(shards);
-  index->FreezeFullGroups();
   return Status::OK();
 }
 

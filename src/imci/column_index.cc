@@ -154,17 +154,6 @@ Status ColumnIndex::MaterializeRow(Rid rid, Row* row) const {
   return Status::OK();
 }
 
-size_t ColumnIndex::FreezeFullGroups() {
-  size_t total = 0;
-  const size_t n = num_groups();
-  for (size_t i = 0; i < n; ++i) {
-    auto g = group(i);
-    if (!g || g->frozen() || g->retired()) continue;
-    if (GroupUsed(i) == options_.row_group_size) total += g->Freeze();
-  }
-  return total;
-}
-
 std::vector<size_t> ColumnIndex::FindUnderflowGroups(Vid read_vid,
                                                      double threshold) const {
   std::vector<size_t> out;
@@ -240,7 +229,10 @@ size_t ColumnIndex::DropInsertVidMaps(Vid min_active_vid) {
   const size_t n = num_groups();
   for (size_t i = 0; i < n; ++i) {
     auto g = group(i);
-    if (g && g->MaybeDropInsertVids(min_active_vid)) ++dropped;
+    if (g && GroupUsed(i) == options_.row_group_size &&
+        g->MaybeDropInsertVids(min_active_vid)) {
+      ++dropped;
+    }
   }
   return dropped;
 }

@@ -102,10 +102,6 @@ class ColumnIndex {
 
   // --- Maintenance (§4.3) --------------------------------------------------
 
-  /// Compresses all full groups that are not yet frozen; returns compressed
-  /// byte total.
-  size_t FreezeFullGroups();
-
   /// Groups whose valid-row fraction at `read_vid` is below `threshold`
   /// ("sparse Packs, with less than half of the valid rows, are picked as
   /// under-flowing").
@@ -122,7 +118,7 @@ class ColumnIndex {
   /// Frees retired groups no active reader can still access.
   size_t ReclaimRetired(Vid min_active_vid);
 
-  /// Drops insert-VID maps of frozen groups older than every active reader.
+  /// Drops insert-VID maps of full groups older than every active reader.
   size_t DropInsertVidMaps(Vid min_active_vid);
 
   uint64_t visible_rows(Vid read_vid) const;

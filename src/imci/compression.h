@@ -13,9 +13,8 @@ namespace imci {
 /// of frame-of-reference, delta-encoding, and bit-packing compression, and
 /// string columns use dictionary compression."
 ///
-/// A Partial Pack is transformed into a compressed Pack when it reaches
-/// capacity; compression is copy-on-write at the pack level (the caller swaps
-/// the frozen pack in atomically).
+/// In memory, packs stay plain arrays that scans read in place; these codecs
+/// are the on-disk format of the column-index checkpoint (imci/checkpoint.cc).
 
 /// Integer codec: optional delta encoding (chosen when it shrinks the value
 /// range), then frame-of-reference (subtract min), then bit-packing to the

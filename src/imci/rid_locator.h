@@ -19,7 +19,7 @@ namespace imci {
 /// over immutable sorted runs (L1). Deletes write tombstones; a full merge
 /// (triggered when runs accumulate) drops them.
 ///
-/// Checkpoint integration (§7): `Snapshot()` freezes the memtables into runs
+/// Checkpoint integration (§7): `Snapshot()` seals the memtables into runs
 /// and hands out shared immutable run references — the "immutable copy split
 /// by functional data structures" — so checkpoint writers and concurrent
 /// updates never conflict. To keep residue off old views, ColumnIndex
@@ -39,7 +39,7 @@ class RidLocator {
   void Erase(int64_t pk);
   Status Get(int64_t pk, Rid* rid) const;
 
-  /// Freezes all memtables into runs and returns every shard's run stack
+  /// Seals all memtables into runs and returns every shard's run stack
   /// (newest last). The returned runs are immutable.
   std::vector<std::vector<RunRef>> Snapshot();
 

@@ -1,5 +1,7 @@
 #include "imci/row_group.h"
 
+#include <algorithm>
+
 namespace imci {
 
 RowGroup::RowGroup(const Schema& schema, std::vector<int> cols,
@@ -78,6 +80,14 @@ Value RowGroup::GetValue(int pack, uint32_t offset) const {
   return Value{};
 }
 
+bool RowGroup::IntRangeDisjoint(int pack, bool has_lo, int64_t lo,
+                                bool has_hi, int64_t hi) const {
+  std::lock_guard<std::mutex> g(meta_mu_);
+  const PackMeta& m = metas_[pack];
+  if (!m.has_value) return false;
+  return (has_lo && m.max_i < lo) || (has_hi && m.min_i > hi);
+}
+
 void RowGroup::UpdateMeta(int pack, const Value& v) {
   std::lock_guard<std::mutex> g(meta_mu_);
   PackMeta& m = metas_[pack];
@@ -119,42 +129,14 @@ void RowGroup::UpdateMeta(int pack, const Value& v) {
   if (m.sample.size() < 64) m.sample.push_back(v);
 }
 
-size_t RowGroup::Freeze() {
-  bool expected = false;
-  if (!frozen_.compare_exchange_strong(expected, true)) {
-    return compressed_bytes_;
-  }
-  size_t total = 0;
-  for (ColumnPack& pack : packs_) {
-    pack.compressed.clear();
-    switch (pack.type) {
-      case DataType::kInt64:
-      case DataType::kInt32:
-      case DataType::kDate:
-        IntCodec::Encode(pack.ints, &pack.compressed);
-        break;
-      case DataType::kDouble:
-        DoubleCodec::Encode(pack.dbls, &pack.compressed);
-        break;
-      case DataType::kString:
-        DictCodec::Encode(pack.strs, &pack.compressed);
-        break;
-    }
-    total += pack.compressed.size();
-  }
-  compressed_bytes_ = total;
-  return total;
-}
-
 bool RowGroup::MaybeDropInsertVids(Vid min_active_vid) {
   if (insert_vids_dropped_.load(std::memory_order_acquire)) return true;
-  if (!frozen_.load(std::memory_order_acquire)) return false;
   if (max_insert_vid_.load(std::memory_order_acquire) >= min_active_vid) {
     return false;
   }
   // Every published insert is older than every possible read view: the
   // insert check always passes, so the map can be discarded. Unpublished
-  // slots (kInvalidVid) in a frozen group only exist for aborted pre-commit
+  // slots (kInvalidVid) in a full group only exist for aborted pre-commit
   // residue, which compaction eliminates before retiring the group; we keep
   // the map if any slot is unpublished.
   for (uint32_t i = 0; i < capacity_; ++i) {

@@ -10,7 +10,6 @@
 
 #include "common/row.h"
 #include "common/schema.h"
-#include "imci/compression.h"
 
 namespace imci {
 
@@ -31,17 +30,15 @@ struct PackMeta {
   std::vector<Value> sample;  // reservoir sample for optimizer statistics
 };
 
-/// One column's storage inside a row group — a "Data Pack". Partial packs
-/// are plain arrays written append-only; when the group fills, Freeze()
-/// produces the compressed image (copy-on-write: the compressed blob is
-/// created aside, the in-memory arrays keep serving reads).
+/// One column's storage inside a row group — a "Data Pack". Packs stay plain
+/// arrays in memory, written append-only and read in place by scans; the
+/// codecs in compression.h encode them only in the checkpoint image.
 struct ColumnPack {
   DataType type = DataType::kInt64;
   std::vector<int64_t> ints;
   std::vector<double> dbls;
   std::vector<std::string> strs;
   std::vector<uint8_t> nulls;  // one byte per row: safe concurrent slots
-  std::string compressed;      // set by Freeze()
 };
 
 /// A row group (§4.1): `capacity` rows, one Data Pack per indexed column,
@@ -105,16 +102,17 @@ class RowGroup {
   Value GetValue(int pack, uint32_t offset) const;
 
   const PackMeta& meta(int pack) const { return metas_[pack]; }
-
-  /// Freezes a full group: compresses every pack (copy-on-write; readers are
-  /// unaffected) and returns total compressed bytes.
-  size_t Freeze();
-  bool frozen() const { return frozen_.load(std::memory_order_acquire); }
-  size_t compressed_bytes() const { return compressed_bytes_; }
+  /// True when integer pack `pack` holds values and none of them can lie in
+  /// [lo, hi] (each bound applies only when its flag is set). Reads the meta
+  /// under its lock: Phase#2 appliers update a partial group's meta while
+  /// scans consult it.
+  bool IntRangeDisjoint(int pack, bool has_lo, int64_t lo, bool has_hi,
+                        int64_t hi) const;
 
   /// Drops the insert-VID map once no active transaction can have a read
   /// view older than every insert in the group (§4.3 memory-footprint
-  /// optimization). `min_active_vid` is the oldest pinned read view.
+  /// optimization). `min_active_vid` is the oldest pinned read view. The
+  /// caller only offers full groups (ColumnIndex::DropInsertVidMaps).
   bool MaybeDropInsertVids(Vid min_active_vid);
   bool insert_vids_dropped() const {
     return insert_vids_dropped_.load(std::memory_order_acquire);
@@ -157,14 +155,12 @@ class RowGroup {
   Rid base_rid_;
   std::vector<ColumnPack> packs_;
   std::vector<PackMeta> metas_;
-  std::mutex meta_mu_;
+  mutable std::mutex meta_mu_;
   std::unique_ptr<std::atomic<Vid>[]> insert_vids_;
   std::unique_ptr<std::atomic<Vid>[]> delete_vids_;
   std::atomic<Vid> max_insert_vid_{0};
   std::atomic<bool> insert_vids_dropped_{false};
-  std::atomic<bool> frozen_{false};
   std::atomic<bool> retired_{false};
-  size_t compressed_bytes_ = 0;
 };
 
 }  // namespace imci

@@ -25,8 +25,9 @@ struct LogStoreOptions;
 /// checkpoints all flow through here, exactly as in the paper's architecture
 /// (Figure 2/5).
 ///
-/// Substitution note (DESIGN.md §2): the real PolarFS is a user-space
-/// distributed filesystem over RDMA. This in-process equivalent preserves the
+/// Substitution note: the real PolarFS is a user-space distributed filesystem
+/// over RDMA, which a single-process build cannot host. This in-process
+/// equivalent preserves the
 /// protocol-visible behaviour — named blobs, page persistence, append-only
 /// log segments — and adds fsync / IO accounting plus optional injected
 /// latency so the perturbation experiments (Fig. 11) measure the same costs

@@ -49,8 +49,8 @@ struct ReplicationOptions {
   /// effects are already contained in the loaded checkpoint).
   Vid skip_vids_upto = 0;
   uint64_t poll_timeout_us = 2000;
-  /// Poll iterations between maintenance passes (freeze / compaction /
-  /// VID-map dropping / reclamation).
+  /// Poll iterations between maintenance passes (compaction / VID-map
+  /// dropping / reclamation).
   int maintenance_interval = 64;
   bool enable_compaction = true;
   double compaction_threshold = 0.5;
@@ -75,8 +75,8 @@ struct ReplicationOptions {
 /// Phase#2 (parallel row-grained apply into the column indexes, batched
 /// commit of the applied VID).
 ///
-/// Maintenance (pack freeze, compaction, insert-VID-map dropping, retired
-/// group reclamation) runs in the coordinator thread between batches, which
+/// Maintenance (compaction, insert-VID-map dropping, retired group
+/// reclamation) runs in the coordinator thread between batches, which
 /// serializes it with Phase#2 as ColumnIndex::CompactGroup requires.
 class ReplicationPipeline {
  public:
@@ -204,7 +204,7 @@ class ReplicationPipeline {
   std::string SerializeInflight() const;
   /// True when this pipeline maintains a row-store replica whose MVCC
   /// version chains Phase#1 installs into (redo-reuse only: the binlog
-  /// carries no page changes, so logical-apply replicas stay frozen).
+  /// carries no page changes, so logical-apply replicas stay at the base state).
   bool MaintainsRowReplica() const {
     return replica_engine_ != nullptr &&
            options_.source == ApplySource::kRedoReuse;

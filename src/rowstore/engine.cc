@@ -324,7 +324,7 @@ void TransactionManager::PublishDurable() {
 
 void TransactionManager::DropLostPublications() {
   if (pub_pending_.load(std::memory_order_acquire) == 0) return;
-  // A failed batch fsync poisons the log: durable_lsn() is frozen at the
+  // A failed batch fsync poisons the log: durable_lsn() is stuck at the
   // pre-batch watermark and further appends are refused until reopen, so
   // the watermark cannot race past a trimmed LSN while we drop. Every
   // committer in the failed batch calls this before surfacing its error —

@@ -77,7 +77,7 @@ class RowTable {
 
   /// Newest *committed* image of `pk` (chain resolution first, tree
   /// fallback). False when the row's committed state is absent/deleted.
-  /// Checkpoint serialization uses this to freeze pre-images of rows touched
+  /// Checkpoint serialization uses this to capture pre-images of rows touched
   /// by in-flight transactions — the tree itself may already hold their
   /// uncommitted after-images.
   bool CommittedImage(int64_t pk, std::string* image) const;

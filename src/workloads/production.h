@@ -15,9 +15,9 @@ namespace production {
 /// Synthetic stand-ins for the four production customer workloads of §8.6
 /// (Table 2): the real Alibaba traces are proprietary, so each profile
 /// matches the published aggregate shape — relative DB size, average column
-/// counts, average joins per query — scaled down (DESIGN.md §2 substitution
-/// 6). Query sets mix the patterns Figure 15 highlights: selective lookups,
-/// wide scans with aggregation, and multi-join analytics.
+/// counts, average joins per query — scaled down so every profile loads in
+/// seconds on one machine. Query sets mix the patterns Figure 15 highlights:
+/// selective lookups, wide scans with aggregation, and multi-join analytics.
 struct CustomerProfile {
   std::string name;      // e.g. "Cust1: Finance"
   int num_dim_tables;    // small dimension tables

@@ -21,8 +21,9 @@ enum TpchTable : TableId {
 
 /// Deterministic dbgen-style generator. Composite-key tables (lineitem,
 /// partsupp) carry a synthetic packed INT64 primary key as column 0 — the
-/// row store requires a single INT64 PK (DESIGN.md §2); queries never read
-/// it. Value distributions (dates, flags, segments, brands, nation/region
+/// row store's B+tree and the column index's RID locator are both keyed by
+/// a single INT64 PK, so composite keys are packed into one; queries never
+/// read it. Value distributions (dates, flags, segments, brands, nation/region
 /// names, comment keywords) follow the TPC-H spec closely enough that all
 /// 22 query predicates select realistic fractions.
 class TpchGen {

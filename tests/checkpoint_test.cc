@@ -27,7 +27,6 @@ TEST(CheckpointTest, IndexRoundTripPreservesContentAndVisibility) {
   }
   ASSERT_TRUE(src.Delete(10, 7).ok());
   ASSERT_TRUE(src.Update({int64_t(20), int64_t(777), Value{}}, 8).ok());
-  src.FreezeFullGroups();
 
   std::string blob;
   ASSERT_TRUE(ImciCheckpoint::WriteIndex(src, /*csn=*/100, &blob).ok());

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "exec/expr.h"
 #include "exec/operators.h"
 
@@ -225,6 +227,71 @@ TEST_F(OperatorTest, HashAggAllKinds) {
   EXPECT_EQ(AsInt(out[0][7]), 2);
   // Group "b": distinct count dedups the two 10.0 values.
   EXPECT_EQ(AsInt(out[1][7]), 1);
+}
+
+// Hash keys must be exact: doubles that differ below 1e-6 are distinct keys,
+// negative doubles are ordinary keys, and -0.0 equals 0.0 (CompareValues).
+TEST_F(OperatorTest, GroupByDoubleKeysIsExact) {
+  auto values = Values({{0.1234561}, {0.1234562}, {-1.5}, {-2.5}, {0.0},
+                        {-0.0}},
+                       {DataType::kDouble});
+  auto agg = std::make_shared<HashAggOp>(
+      values, std::vector<int>{0},
+      std::vector<AggSpec>{{AggKind::kCountStar, nullptr}});
+  auto sort = std::make_shared<SortOp>(agg, std::vector<SortKey>{{0, false}});
+  std::vector<Row> out;
+  ASSERT_TRUE(RunPlan(sort, &ctx_, &out).ok());
+  ASSERT_EQ(out.size(), 5u);
+  const std::vector<double> keys = {-2.5, -1.5, 0.0, 0.1234561, 0.1234562};
+  const std::vector<int64_t> counts = {1, 1, 2, 1, 1};
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(AsDouble(out[i][0]), keys[i]) << i;
+    EXPECT_EQ(AsInt(out[i][1]), counts[i]) << i;
+  }
+}
+
+TEST_F(OperatorTest, JoinOnDoubleKeysMatchesOnlyEqualValues) {
+  auto build = Values({{0.1234561, int64_t(1)},
+                       {0.1234562, int64_t(2)},
+                       {-1.5, int64_t(3)},
+                       {0.0, int64_t(4)}},
+                      {DataType::kDouble, DataType::kInt64});
+  auto probe = Values({{0.1234561, int64_t(10)},
+                       {-2.5, int64_t(20)},
+                       {-0.0, int64_t(30)},
+                       {-1.5, int64_t(40)}},
+                      {DataType::kDouble, DataType::kInt64});
+  auto inner = std::make_shared<HashJoinOp>(build, probe, std::vector<int>{0},
+                                            std::vector<int>{0},
+                                            JoinType::kInner);
+  auto sort = std::make_shared<SortOp>(inner, std::vector<SortKey>{{1, false}});
+  std::vector<Row> out;
+  ASSERT_TRUE(RunPlan(sort, &ctx_, &out).ok());
+  // (probe tag, build tag): -2.5 and 0.1234562 find no partner.
+  const std::vector<std::pair<int64_t, int64_t>> want = {
+      {10, 1}, {30, 4}, {40, 3}};
+  ASSERT_EQ(out.size(), want.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(AsInt(out[i][1]), want[i].first) << i;
+    EXPECT_EQ(AsInt(out[i][3]), want[i].second) << i;
+    EXPECT_EQ(CompareValues(out[i][0], out[i][2]), 0) << i;
+  }
+}
+
+TEST_F(OperatorTest, CountDistinctDoublesCountsEachValue) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto values = Values({{0.1234561}, {0.1234562}, {0.1234562}, {-1.5},
+                        {-2.5}, {-2.5}, {0.0}, {-0.0}, {nan}, {-nan}},
+                       {DataType::kDouble});
+  auto agg = std::make_shared<HashAggOp>(
+      values, std::vector<int>{},
+      std::vector<AggSpec>{{AggKind::kCountDistinct,
+                            Col(0, DataType::kDouble)}});
+  std::vector<Row> out;
+  ASSERT_TRUE(RunPlan(agg, &ctx_, &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  // 0.1234561, 0.1234562, -1.5, -2.5, zero (either sign), NaN (either sign).
+  EXPECT_EQ(AsInt(out[0][0]), 6);
 }
 
 TEST_F(OperatorTest, GlobalAggOnEmptyInputReturnsOneRow) {

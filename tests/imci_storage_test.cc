@@ -84,38 +84,26 @@ TEST(ColumnIndexTest, PackMetaTracksMinMax) {
   EXPECT_FALSE(m.sample.empty());
 }
 
-TEST(ColumnIndexTest, FreezeCompressesFullGroups) {
-  ColumnIndex idx(TestSchema(), SmallGroups());
-  for (int64_t i = 0; i < 64; ++i) {
-    ASSERT_TRUE(
-        idx.Insert({i, i % 4, 0.5, std::string("tag") +
-                    std::to_string(i % 3)}, 1).ok());
-  }
-  size_t bytes = idx.FreezeFullGroups();
-  EXPECT_GT(bytes, 0u);
-  auto g = idx.group(0);
-  EXPECT_TRUE(g->frozen());
-  // Compressed form is far smaller than raw 64 * (8+8+8+string).
-  EXPECT_LT(g->compressed_bytes(), 64u * 30);
-  // Data remains readable after freeze (copy-on-write).
-  Row row;
-  ASSERT_TRUE(idx.LookupByPk(5, 1, &row).ok());
-  EXPECT_EQ(AsInt(row[1]), 1);
-}
-
 TEST(ColumnIndexTest, InsertVidMapDropping) {
   ColumnIndex idx(TestSchema(), SmallGroups());
   for (int64_t i = 0; i < 64; ++i) {
     ASSERT_TRUE(idx.Insert({i, i, Value{}, Value{}}, 2).ok());
   }
-  idx.FreezeFullGroups();
+  // A second, partial group (10 of 64 slots) inserted at VID 3.
+  for (int64_t i = 64; i < 74; ++i) {
+    ASSERT_TRUE(idx.Insert({i, i, Value{}, Value{}}, 3).ok());
+  }
+  ASSERT_EQ(idx.num_groups(), 2u);
+  ASSERT_EQ(idx.GroupUsed(1), 10u);
   // Oldest active view at VID 1: map must be kept.
   EXPECT_EQ(idx.DropInsertVidMaps(1), 0u);
-  // Oldest active view newer than every insert: map dropped, rows stay
-  // visible.
+  // Oldest active view newer than every insert: the full group's map is
+  // dropped and its rows stay visible; the partial group keeps its map.
   EXPECT_EQ(idx.DropInsertVidMaps(10), 1u);
   EXPECT_TRUE(idx.group(0)->insert_vids_dropped());
-  EXPECT_EQ(idx.visible_rows(10), 64u);
+  EXPECT_FALSE(idx.group(1)->insert_vids_dropped());
+  EXPECT_EQ(idx.visible_rows(10), 74u);
+  EXPECT_EQ(idx.visible_rows(2), 64u);
 }
 
 TEST(ColumnIndexTest, PreCommitInvisibleUntilRectified) {

@@ -331,7 +331,6 @@ TEST_F(ReplicationTest, CompactionPreservesContentAndReclaims) {
   // stop the background pipeline first.
   ro_->StopReplication();
   ColumnIndex* index = ro_->imci()->GetIndex(1);
-  index->FreezeFullGroups();
   const Vid vid = ro_->applied_vid();
   auto underflow = index->FindUnderflowGroups(vid);
   ASSERT_EQ(underflow.size(), 2u);  // both full groups are >50% deleted

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
-#include <unordered_map>
-#include <unordered_set>
+#include <string_view>
 
 #include "common/coding.h"
 #include "exec/merge.h"
@@ -321,6 +321,107 @@ bool EncodeKey(const Batch& b, const std::vector<int>& key_cols, size_t row,
   return true;
 }
 
+/// Partition cap of both hash operators (workers beyond it share partitions).
+constexpr int kMaxPartitions = 64;
+
+/// Number of exchange partitions for a given worker count: the smallest
+/// power of two >= workers, capped at kMaxPartitions (power of two so the
+/// partition of a hash is a mask, and >= workers so every worker owns at
+/// least one partition).
+int ExchangePartitions(int workers) {
+  int p = 1;
+  while (p < std::min(workers, kMaxPartitions)) p <<= 1;
+  return p;
+}
+
+/// A key's exchange partition: its top hash bits. KeyTable picks slots from
+/// the low bits, so one partition's keys still spread over its whole table.
+uint32_t PartitionOf(uint64_t hash, int partitions) {
+  static_assert(kMaxPartitions <= 64, "six partition bits");
+  return static_cast<uint32_t>(hash >> 58) &
+         static_cast<uint32_t>(partitions - 1);
+}
+
+using Ref = std::pair<uint32_t, uint32_t>;  // (batch, row)
+
+/// Open-addressing (linear probing) hash table over encoded keys. Each key's
+/// bytes are appended to one buffer and its 64-bit hash is stored once, so
+/// growing and merging never re-hash; keys get dense ids in insertion order.
+/// Callers pass the hash in (KeyTable::Hash of the key bytes), so a key that
+/// was hashed to pick its partition is not hashed again.
+class KeyTable {
+ public:
+  static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+
+  static uint64_t Hash(std::string_view key) {
+    return std::hash<std::string_view>{}(key);
+  }
+
+  uint32_t size() const { return static_cast<uint32_t>(hashes_.size()); }
+  uint64_t hash(uint32_t id) const { return hashes_[id]; }
+  std::string_view key(uint32_t id) const {
+    const size_t begin = id == 0 ? 0 : ends_[id - 1];
+    return std::string_view(bytes_).substr(begin, ends_[id] - begin);
+  }
+
+  /// The id of `key`, or kNone.
+  uint32_t Find(std::string_view key, uint64_t hash) const {
+    return slots_.empty() ? kNone : slots_[Probe(key, hash)].id;
+  }
+
+  /// The id of `key`, which is added with the next id when absent.
+  uint32_t Insert(std::string_view key, uint64_t hash, bool* inserted) {
+    if ((hashes_.size() + 1) * 2 > slots_.size()) Grow();
+    Slot& slot = slots_[Probe(key, hash)];
+    *inserted = slot.id == kNone;
+    if (*inserted) {
+      slot = {size(), Tag(hash)};
+      hashes_.push_back(hash);
+      bytes_.append(key);
+      ends_.push_back(bytes_.size());
+    }
+    return slot.id;
+  }
+
+ private:
+  struct Slot {
+    uint32_t id = kNone;
+    uint32_t tag = 0;  // high hash bits: most mismatches skip the key bytes
+  };
+
+  static uint32_t Tag(uint64_t hash) {
+    return static_cast<uint32_t>(hash >> 32);
+  }
+
+  /// The slot holding `key`, or the empty slot that ends its probe run.
+  size_t Probe(std::string_view key, uint64_t hash) const {
+    const size_t mask = slots_.size() - 1;
+    size_t s = hash & mask;
+    while (slots_[s].id != kNone &&
+           (slots_[s].tag != Tag(hash) || this->key(slots_[s].id) != key)) {
+      s = (s + 1) & mask;
+    }
+    return s;
+  }
+
+  /// Doubles the slot array (load factor <= 1/2), re-placing ids by their
+  /// stored hashes.
+  void Grow() {
+    slots_.assign(std::max<size_t>(16, slots_.size() * 2), Slot{});
+    const size_t mask = slots_.size() - 1;
+    for (uint32_t id = 0; id < size(); ++id) {
+      size_t s = hashes_[id] & mask;
+      while (slots_[s].id != kNone) s = (s + 1) & mask;
+      slots_[s] = {id, Tag(hashes_[id])};
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::vector<uint64_t> hashes_;  // per id
+  std::vector<size_t> ends_;      // per id: end of its bytes in bytes_
+  std::string bytes_;
+};
+
 }  // namespace
 
 HashJoinOp::HashJoinOp(PhysOpRef build, PhysOpRef probe,
@@ -337,19 +438,6 @@ HashJoinOp::HashJoinOp(PhysOpRef build, PhysOpRef probe,
   }
 }
 
-namespace {
-
-/// Number of exchange partitions for a given worker count: the smallest
-/// power of two >= workers (power of two so the partition of a hash is a
-/// mask, and >= workers so every worker owns at least one partition).
-int ExchangePartitions(int workers) {
-  int p = 1;
-  while (p < workers) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
 Status HashJoinOp::Execute(ExecContext* ctx, RowSet* out) {
   RowSet build_set;
   IMCI_RETURN_NOT_OK(build_->Execute(ctx, &build_set));
@@ -358,42 +446,52 @@ Status HashJoinOp::Execute(ExecContext* ctx, RowSet* out) {
   out->types = out_types_;
 
   // Build phase, partition-parallel with an exchange step. Stage 1
-  // (scatter) runs per build batch: encode each row's key and route it to
-  // partition hash(key) & (P-1). Stage 2 (merge) runs per partition:
-  // partition p assembles its own hash table from every batch's p-bucket,
-  // walking batches in index order so refs land in the exact (batch, row)
-  // order the serial build would have produced — match emission order, and
-  // therefore results, are identical to parallelism=1.
-  using Ref = std::pair<uint32_t, uint32_t>;  // (batch, row)
-  const int workers = std::max(1, ctx->parallelism);
-  const int P = ExchangePartitions(std::min(workers, 64));
-  const uint32_t pmask = static_cast<uint32_t>(P - 1);
-  const std::hash<std::string> hasher;
-
+  // (scatter) runs per build batch: hash each row's key once and route
+  // (hash, row) to its partition. Stage 2 runs per partition: partition p
+  // inserts its keys into one KeyTable, walking batches in index order, and
+  // appends each row to its key's ref chain — so a key's matches come out
+  // in the exact (batch, row) order of the serial build, and results are
+  // identical to parallelism=1.
+  const int P = ExchangePartitions(std::max(1, ctx->parallelism));
   const int nbuild = static_cast<int>(build_set.batches.size());
-  struct ScatterBucket {
-    std::vector<std::pair<std::string, uint32_t>> rows;  // (key, row)
-  };
-  // scatter[bi][p]: keys of batch bi routed to partition p.
-  std::vector<std::vector<ScatterBucket>> scatter(nbuild);
+  using Routed = std::vector<std::pair<uint64_t, uint32_t>>;  // (hash, row)
+  std::vector<std::vector<Routed>> scatter(nbuild);  // [batch][partition]
   ParallelFor(ctx->pool, nbuild, [&](int bi) {
     const Batch& b = build_set.batches[bi];
-    auto& parts = scatter[bi];
-    parts.resize(P);
+    scatter[bi].resize(P);
     std::string key;
     for (uint32_t ri = 0; ri < b.rows; ++ri) {
       if (!EncodeKey(b, build_keys_, ri, &key)) continue;
-      const uint32_t p = static_cast<uint32_t>(hasher(key)) & pmask;
-      parts[p].rows.emplace_back(key, ri);
+      const uint64_t h = KeyTable::Hash(key);
+      scatter[bi][PartitionOf(h, P)].emplace_back(h, ri);
     }
   });
 
-  std::vector<std::unordered_map<std::string, std::vector<Ref>>> tables(P);
+  struct BuildPart {
+    KeyTable keys;
+    std::vector<uint32_t> head, tail;  // per key id: first and last ref
+    std::vector<Ref> refs;             // build rows, in (batch, row) order
+    std::vector<uint32_t> next;        // per ref: the key's next ref
+  };
+  std::vector<BuildPart> parts(P);
   ParallelFor(ctx->pool, P, [&](int p) {
-    auto& table = tables[p];
+    BuildPart& part = parts[p];
+    std::string key;
     for (int bi = 0; bi < nbuild; ++bi) {
-      for (auto& [key, ri] : scatter[bi][p].rows) {
-        table[std::move(key)].push_back({static_cast<uint32_t>(bi), ri});
+      for (const auto& [h, ri] : scatter[bi][p]) {
+        EncodeKey(build_set.batches[bi], build_keys_, ri, &key);  // non-NULL
+        bool inserted;
+        const uint32_t id = part.keys.Insert(key, h, &inserted);
+        const uint32_t r = static_cast<uint32_t>(part.refs.size());
+        if (inserted) {
+          part.head.push_back(r);
+          part.tail.push_back(r);
+        } else {
+          part.next[part.tail[id]] = r;
+          part.tail[id] = r;
+        }
+        part.refs.emplace_back(static_cast<uint32_t>(bi), ri);
+        part.next.push_back(KeyTable::kNone);
       }
     }
   });
@@ -411,71 +509,47 @@ Status HashJoinOp::Execute(ExecContext* ctx, RowSet* out) {
   ParallelFor(ctx->pool, n, [&](int pi) {
     const Batch& pb = probe_set.batches[pi];
     Batch outb = Batch::Make(out_types_);
+    // Appends probe row `ri` joined with build row `m` (NULLs when null).
+    auto emit = [&](uint32_t ri, const Ref* m) {
+      for (int c = 0; c < probe_width; ++c) {
+        outb.cols[c].AppendFrom(pb.cols[c], ri);
+      }
+      for (int c = 0; c < build_width; ++c) {
+        if (m) {
+          outb.cols[probe_width + c].AppendFrom(
+              build_set.batches[m->first].cols[c], m->second);
+        } else {
+          outb.cols[probe_width + c].AppendNull();
+        }
+      }
+      outb.rows++;
+    };
     std::string k;
     for (uint32_t ri = 0; ri < pb.rows; ++ri) {
-      const bool valid = EncodeKey(pb, probe_keys_, ri, &k);
-      const std::vector<Ref>* matches = nullptr;
-      if (valid) {
-        const auto& table = tables[static_cast<uint32_t>(hasher(k)) & pmask];
-        auto it = table.find(k);
-        if (it != table.end()) matches = &it->second;
+      const BuildPart* part = nullptr;
+      uint32_t r = KeyTable::kNone;  // first matching ref
+      if (EncodeKey(pb, probe_keys_, ri, &k)) {
+        const uint64_t h = KeyTable::Hash(k);
+        part = &parts[PartitionOf(h, P)];
+        const uint32_t id = part->keys.Find(k, h);
+        if (id != KeyTable::kNone) r = part->head[id];
       }
       switch (type_) {
-        case JoinType::kInner: {
-          if (!matches) break;
-          for (const Ref& m : *matches) {
-            for (int c = 0; c < probe_width; ++c) {
-              outb.cols[c].AppendFrom(pb.cols[c], ri);
-            }
-            const Batch& bb = build_set.batches[m.first];
-            for (int c = 0; c < build_width; ++c) {
-              outb.cols[probe_width + c].AppendFrom(bb.cols[c], m.second);
-            }
-            outb.rows++;
+        case JoinType::kInner:
+        case JoinType::kLeft:
+          if (r == KeyTable::kNone && type_ == JoinType::kLeft) {
+            emit(ri, nullptr);
+          }
+          for (; r != KeyTable::kNone; r = part->next[r]) {
+            emit(ri, &part->refs[r]);
           }
           break;
-        }
-        case JoinType::kLeft: {
-          if (matches) {
-            for (const Ref& m : *matches) {
-              for (int c = 0; c < probe_width; ++c) {
-                outb.cols[c].AppendFrom(pb.cols[c], ri);
-              }
-              const Batch& bb = build_set.batches[m.first];
-              for (int c = 0; c < build_width; ++c) {
-                outb.cols[probe_width + c].AppendFrom(bb.cols[c], m.second);
-              }
-              outb.rows++;
-            }
-          } else {
-            for (int c = 0; c < probe_width; ++c) {
-              outb.cols[c].AppendFrom(pb.cols[c], ri);
-            }
-            for (int c = 0; c < build_width; ++c) {
-              outb.cols[probe_width + c].AppendNull();
-            }
-            outb.rows++;
-          }
+        case JoinType::kSemi:
+          if (r != KeyTable::kNone) emit(ri, nullptr);
           break;
-        }
-        case JoinType::kSemi: {
-          if (matches) {
-            for (int c = 0; c < probe_width; ++c) {
-              outb.cols[c].AppendFrom(pb.cols[c], ri);
-            }
-            outb.rows++;
-          }
+        case JoinType::kAnti:
+          if (r == KeyTable::kNone) emit(ri, nullptr);
           break;
-        }
-        case JoinType::kAnti: {
-          if (!matches) {
-            for (int c = 0; c < probe_width; ++c) {
-              outb.cols[c].AppendFrom(pb.cols[c], ri);
-            }
-            outb.rows++;
-          }
-          break;
-        }
       }
     }
     results[pi] = std::move(outb);
@@ -488,12 +562,45 @@ Status HashJoinOp::Execute(ExecContext* ctx, RowSet* out) {
 
 namespace {
 
-struct AggState {
-  Row group_values;
-  std::vector<double> sums;
-  std::vector<int64_t> counts;
-  std::vector<Value> mins, maxs;
-  std::vector<std::unordered_set<std::string>> distincts;
+/// Keeps in `*acc` the smaller (MIN) or larger (MAX) of non-NULL `x` and
+/// `*acc`.
+void FoldExtreme(AggKind kind, Value x, Value* acc) {
+  const int sign = kind == AggKind::kMin ? -1 : 1;
+  if (IsNull(*acc) || CompareValues(x, *acc) * sign > 0) *acc = std::move(x);
+}
+
+/// One hash partition of a HashAgg table: group keys plus flat accumulators
+/// indexed [group * naggs + agg]. A group's values are not copied; the
+/// group remembers the (batch, row) of its first input row.
+struct AggSlice {
+  KeyTable groups;
+  std::vector<Ref> first_rows;
+  std::vector<double> sums;     // SUM/AVG
+  std::vector<int64_t> counts;  // COUNT(*), non-NULL counts, SUM_INT, distinct
+  std::vector<Value> extremes;  // MIN/MAX
+  /// COUNT DISTINCT values: the fixed64 accumulator index, then the value's
+  /// key bytes. A value new to the set bumps that accumulator's count.
+  KeyTable distinct;
+
+  /// The id of group `key`, added with empty accumulators when new.
+  uint32_t Group(std::string_view key, uint64_t hash, Ref first,
+                 size_t naggs) {
+    bool inserted;
+    const uint32_t g = groups.Insert(key, hash, &inserted);
+    if (inserted) {
+      first_rows.push_back(first);
+      sums.resize(sums.size() + naggs, 0.0);
+      counts.resize(counts.size() + naggs, 0);
+      extremes.resize(extremes.size() + naggs);
+    }
+    return g;
+  }
+
+  void AddDistinct(const std::string& key) {
+    bool inserted;
+    distinct.Insert(key, KeyTable::Hash(key), &inserted);
+    if (inserted) counts[GetFixed64(key.data())]++;
+  }
 };
 
 }  // namespace
@@ -529,29 +636,43 @@ Status HashAggOp::Execute(ExecContext* ctx, RowSet* out) {
   IMCI_RETURN_NOT_OK(child_->Execute(ctx, &in));
   out->types = out_types_;
 
-  const int workers = std::max(1, std::min(ctx->parallelism, 32));
-  std::vector<std::unordered_map<std::string, AggState>> partials(workers);
+  const size_t naggs = aggs_.size();
+  const int workers = std::max(1, std::min(ctx->parallelism, kMaxPartitions));
+  const int P = ExchangePartitions(workers);
+  // partials[w][p]: worker w's groups whose hash falls in partition p.
+  std::vector<std::vector<AggSlice>> partials(workers);
   const int nb = static_cast<int>(in.batches.size());
   std::atomic<int> next_batch{0};
   std::atomic<bool> failed{false};
 
-  // Partial aggregation: thread-local tables, no synchronization.
+  // Partial aggregation: thread-local tables, no synchronization. Each
+  // worker partitions at the source: a row's key hash picks the slice it
+  // aggregates into.
   ParallelFor(ctx->pool, workers, [&](int wi) {
-    auto& local = partials[wi];
-    std::string key;
+    std::vector<AggSlice>& local = partials[wi];
+    local.resize(P);
+    std::vector<ColumnVector> evaluated(naggs);  // reused across batches
+    std::vector<const ColumnVector*> args(naggs, nullptr);
+    std::string key, dkey;
     for (;;) {
       const int bi = next_batch.fetch_add(1, std::memory_order_relaxed);
       if (bi >= nb) return;
       const Batch& b = in.batches[bi];
-      // Evaluate agg argument expressions once per batch.
-      std::vector<ColumnVector> arg_vals(aggs_.size());
-      for (size_t a = 0; a < aggs_.size(); ++a) {
-        if (aggs_[a].arg) {
-          if (!aggs_[a].arg->Eval(b, &arg_vals[a]).ok()) {
-            failed.store(true);
-            return;
-          }
+      // Evaluate agg arguments once per batch; plain columns are read in
+      // place.
+      for (size_t a = 0; a < naggs; ++a) {
+        const ExprRef& e = aggs_[a].arg;
+        if (!e) continue;
+        if (e->kind == ExprKind::kCol) {
+          args[a] = &b.cols[e->col];
+          continue;
         }
+        evaluated[a].Clear();
+        if (!e->Eval(b, &evaluated[a]).ok()) {
+          failed.store(true);
+          return;
+        }
+        args[a] = &evaluated[a];
       }
       for (uint32_t ri = 0; ri < b.rows; ++ri) {
         key.clear();
@@ -560,58 +681,40 @@ Status HashAggOp::Execute(ExecContext* ctx, RowSet* out) {
           key.push_back(v.nulls[ri] ? 'N' : 'V');
           if (!v.nulls[ri]) AppendKeyBytes(v, ri, &key);
         }
-        AggState& st = local[key];
-        if (st.sums.empty()) {
-          st.sums.assign(aggs_.size(), 0.0);
-          st.counts.assign(aggs_.size(), 0);
-          st.mins.assign(aggs_.size(), Value{});
-          st.maxs.assign(aggs_.size(), Value{});
-          st.distincts.resize(aggs_.size());
-          st.group_values.reserve(group_cols_.size());
-          for (int c : group_cols_) {
-            st.group_values.push_back(b.cols[c].GetValue(ri));
-          }
-        }
-        for (size_t a = 0; a < aggs_.size(); ++a) {
-          const AggSpec& spec = aggs_[a];
-          if (spec.kind == AggKind::kCountStar) {
-            st.counts[a]++;
+        const uint64_t h = KeyTable::Hash(key);
+        AggSlice& s = local[PartitionOf(h, P)];
+        const size_t base =
+            s.Group(key, h, {static_cast<uint32_t>(bi), ri}, naggs) * naggs;
+        for (size_t a = 0; a < naggs; ++a) {
+          const AggKind kind = aggs_[a].kind;
+          if (kind == AggKind::kCountStar) {
+            s.counts[base + a]++;
             continue;
           }
-          const ColumnVector& v = arg_vals[a];
+          const ColumnVector& v = *args[a];
           if (v.nulls[ri]) continue;
-          switch (spec.kind) {
+          switch (kind) {
             case AggKind::kSum:
             case AggKind::kAvg:
-              st.sums[a] += v.NumericAt(ri);
-              st.counts[a]++;
+              s.sums[base + a] += v.NumericAt(ri);
+              s.counts[base + a]++;
               break;
             case AggKind::kCount:
-              st.counts[a]++;
+              s.counts[base + a]++;
               break;
             case AggKind::kSumInt:
-              st.counts[a] += v.ints[ri];
+              s.counts[base + a] += v.ints[ri];
               break;
-            case AggKind::kMin: {
-              Value x = v.GetValue(ri);
-              if (IsNull(st.mins[a]) || CompareValues(x, st.mins[a]) < 0) {
-                st.mins[a] = std::move(x);
-              }
+            case AggKind::kMin:
+            case AggKind::kMax:
+              FoldExtreme(kind, v.GetValue(ri), &s.extremes[base + a]);
               break;
-            }
-            case AggKind::kMax: {
-              Value x = v.GetValue(ri);
-              if (IsNull(st.maxs[a]) || CompareValues(x, st.maxs[a]) > 0) {
-                st.maxs[a] = std::move(x);
-              }
+            case AggKind::kCountDistinct:
+              dkey.clear();
+              PutFixed64(&dkey, base + a);
+              AppendKeyBytes(v, ri, &dkey);
+              s.AddDistinct(dkey);
               break;
-            }
-            case AggKind::kCountDistinct: {
-              std::string enc;
-              AppendKeyBytes(v, ri, &enc);
-              st.distincts[a].insert(std::move(enc));
-              break;
-            }
             default:
               break;
           }
@@ -621,108 +724,112 @@ Status HashAggOp::Execute(ExecContext* ctx, RowSet* out) {
   });
   if (failed.load()) return Status::Internal("agg arg eval failed");
 
-  // Exchange/merge: the thread-local partials are repartitioned by key hash
-  // and each partition is merged by a single worker. A key lives in exactly
-  // one partition, so partition workers can move agg states out of the
-  // shared partial maps without synchronization; each partition walks the
-  // partials in worker order so the accumulation order matches the serial
-  // merge exactly.
-  const int P = ExchangePartitions(workers);
-  const uint32_t pmask = static_cast<uint32_t>(P - 1);
-  const std::hash<std::string> hasher;
-  std::vector<std::unordered_map<std::string, AggState>> merged(P);
+  // Appends one output row per group of `s`, in group id order.
+  auto emit = [&](const AggSlice& s, std::vector<Batch>* dst) {
+    Batch outb = Batch::Make(out_types_);
+    for (uint32_t g = 0; g < s.groups.size(); ++g) {
+      int c = 0;
+      const auto [bi, ri] = s.first_rows[g];
+      for (int gc : group_cols_) {
+        outb.cols[c++].AppendFrom(in.batches[bi].cols[gc], ri);
+      }
+      for (size_t a = 0, i = g * naggs; a < naggs; ++a, ++i, ++c) {
+        ColumnVector& col = outb.cols[c];
+        switch (aggs_[a].kind) {
+          case AggKind::kSum:
+            if (s.counts[i] == 0) {
+              col.AppendNull();
+            } else {
+              col.AppendDouble(s.sums[i]);
+            }
+            break;
+          case AggKind::kAvg:
+            if (s.counts[i] == 0) {
+              col.AppendNull();
+            } else {
+              col.AppendDouble(s.sums[i] / s.counts[i]);
+            }
+            break;
+          case AggKind::kCount:
+          case AggKind::kCountStar:
+          case AggKind::kSumInt:
+          case AggKind::kCountDistinct:
+            col.AppendInt(s.counts[i]);
+            break;
+          case AggKind::kMin:
+          case AggKind::kMax:
+            col.AppendValue(s.extremes[i]);
+            break;
+        }
+      }
+      if (++outb.rows >= Batch::kDefaultCapacity) {
+        dst->push_back(std::move(outb));
+        outb = Batch::Make(out_types_);
+      }
+    }
+    if (outb.rows > 0) dst->push_back(std::move(outb));
+  };
+
+  // Merge, partition-parallel: partition p folds slice p of workers
+  // 1..W-1 into worker 0's slice p, in worker order, so the accumulation
+  // order matches the serial merge exactly. Keys move with their stored
+  // hashes, so nothing is re-hashed, and no partition reads another's
+  // slices. A source group maps to a destination group id (new groups start
+  // empty); distinct values are re-keyed by that id and recounted as they
+  // enter the destination set, never summed.
+  std::vector<std::vector<Batch>> merged(P);
   ParallelFor(ctx->pool, P, [&](int p) {
-    auto& part = merged[p];
-    for (int w = 0; w < workers; ++w) {
-      for (auto& [key, st] : partials[w]) {
-        if ((static_cast<uint32_t>(hasher(key)) & pmask) !=
-            static_cast<uint32_t>(p)) {
-          continue;
-        }
-        auto it = part.find(key);
-        if (it == part.end()) {
-          part.emplace(key, std::move(st));
-          continue;
-        }
-        AggState& dst = it->second;
-        for (size_t a = 0; a < aggs_.size(); ++a) {
-          dst.sums[a] += st.sums[a];
-          dst.counts[a] += st.counts[a];
-          if (!IsNull(st.mins[a]) &&
-              (IsNull(dst.mins[a]) ||
-               CompareValues(st.mins[a], dst.mins[a]) < 0)) {
-            dst.mins[a] = std::move(st.mins[a]);
+    AggSlice& dst = partials[0][p];
+    std::vector<uint32_t> remap;
+    std::string dkey;
+    for (int w = 1; w < workers; ++w) {
+      AggSlice& src = partials[w][p];
+      remap.resize(src.groups.size());
+      for (uint32_t g = 0; g < src.groups.size(); ++g) {
+        const uint32_t d = dst.Group(src.groups.key(g), src.groups.hash(g),
+                                     src.first_rows[g], naggs);
+        remap[g] = d;
+        for (size_t a = 0; a < naggs; ++a) {
+          const size_t from = g * naggs + a, to = d * naggs + a;
+          dst.sums[to] += src.sums[from];
+          switch (aggs_[a].kind) {
+            case AggKind::kCountDistinct:
+              break;
+            case AggKind::kMin:
+            case AggKind::kMax:
+              if (!IsNull(src.extremes[from])) {
+                FoldExtreme(aggs_[a].kind, std::move(src.extremes[from]),
+                            &dst.extremes[to]);
+              }
+              break;
+            default:
+              dst.counts[to] += src.counts[from];
+              break;
           }
-          if (!IsNull(st.maxs[a]) &&
-              (IsNull(dst.maxs[a]) ||
-               CompareValues(st.maxs[a], dst.maxs[a]) > 0)) {
-            dst.maxs[a] = std::move(st.maxs[a]);
-          }
-          for (auto& d : st.distincts[a]) dst.distincts[a].insert(d);
         }
       }
+      for (uint32_t id = 0; id < src.distinct.size(); ++id) {
+        const std::string_view k = src.distinct.key(id);
+        const uint64_t from = GetFixed64(k.data());
+        dkey.clear();
+        PutFixed64(&dkey, remap[from / naggs] * naggs + from % naggs);
+        dkey.append(k.substr(8));
+        dst.AddDistinct(dkey);
+      }
+      src = AggSlice();
     }
+    emit(dst, &merged[p]);
   });
-
-  // Handle the global-aggregate-with-no-rows case: SQL returns one row.
-  size_t total_groups = 0;
-  for (const auto& part : merged) total_groups += part.size();
-  if (total_groups == 0 && group_cols_.empty()) {
-    AggState st;
-    st.sums.assign(aggs_.size(), 0.0);
-    st.counts.assign(aggs_.size(), 0);
-    st.mins.assign(aggs_.size(), Value{});
-    st.maxs.assign(aggs_.size(), Value{});
-    st.distincts.resize(aggs_.size());
-    merged[0].emplace("", std::move(st));
+  for (auto& batches : merged) {
+    for (Batch& b : batches) out->batches.push_back(std::move(b));
   }
 
-  Batch outb = Batch::Make(out_types_);
-  for (auto& part : merged)
-  for (auto& [key, st] : part) {
-    int c = 0;
-    for (size_t g = 0; g < group_cols_.size(); ++g, ++c) {
-      outb.cols[c].AppendValue(st.group_values[g]);
-    }
-    for (size_t a = 0; a < aggs_.size(); ++a, ++c) {
-      switch (aggs_[a].kind) {
-        case AggKind::kSum:
-          if (st.counts[a] == 0) {
-            outb.cols[c].AppendNull();
-          } else {
-            outb.cols[c].AppendDouble(st.sums[a]);
-          }
-          break;
-        case AggKind::kAvg:
-          if (st.counts[a] == 0) {
-            outb.cols[c].AppendNull();
-          } else {
-            outb.cols[c].AppendDouble(st.sums[a] / st.counts[a]);
-          }
-          break;
-        case AggKind::kCount:
-        case AggKind::kCountStar:
-        case AggKind::kSumInt:
-          outb.cols[c].AppendInt(st.counts[a]);
-          break;
-        case AggKind::kCountDistinct:
-          outb.cols[c].AppendInt(static_cast<int64_t>(st.distincts[a].size()));
-          break;
-        case AggKind::kMin:
-          outb.cols[c].AppendValue(st.mins[a]);
-          break;
-        case AggKind::kMax:
-          outb.cols[c].AppendValue(st.maxs[a]);
-          break;
-      }
-    }
-    outb.rows++;
-    if (outb.rows >= Batch::kDefaultCapacity) {
-      out->batches.push_back(std::move(outb));
-      outb = Batch::Make(out_types_);
-    }
+  // Global aggregate over no rows: SQL returns one row.
+  if (out->batches.empty() && group_cols_.empty()) {
+    AggSlice empty;
+    empty.Group({}, KeyTable::Hash({}), {0, 0}, naggs);
+    emit(empty, &out->batches);
   }
-  if (outb.rows > 0) out->batches.push_back(std::move(outb));
   return Status::OK();
 }
 

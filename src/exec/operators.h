@@ -150,10 +150,14 @@ class ProjectOp : public PhysOp {
 
 enum class JoinType { kInner, kLeft, kSemi, kAnti };
 
-/// In-memory hash join (§6.3): the build side is partitioned and built
-/// lock-free (one partition per worker), probes run in parallel over probe
-/// batches. Inner and left-outer emit probe columns followed by build
-/// columns; semi/anti emit probe columns only.
+/// In-memory hash join (§6.3). The build side is partitioned at the source:
+/// each build batch hashes its keys once and routes (hash, row) to a
+/// partition by the top hash bits; each partition then builds, lock-free, one
+/// flat open-addressing key table plus per-key chains of (batch, row) refs in
+/// build order. Probes run in parallel over probe batches, so a probe row's
+/// matches come out in build order at any dop. Inner and left-outer emit
+/// probe columns followed by build columns; semi/anti emit probe columns
+/// only.
 class HashJoinOp : public PhysOp {
  public:
   HashJoinOp(PhysOpRef build, PhysOpRef probe, std::vector<int> build_keys,
@@ -179,9 +183,14 @@ struct AggSpec {
   ExprRef arg;  // null for kCountStar
 };
 
-/// Hash aggregation with thread-local partial tables, repartitioned by key
-/// hash through an exchange step and merged partition-parallel (§6.3).
-/// Output: group columns (in given order) then one column per agg.
+/// Hash aggregation, partitioned at the source (§6.3; the two-phase
+/// aggregation of Leis et al., "Morsel-Driven Parallelism"). Each worker
+/// aggregates its batches into P slices picked by the key hash's top bits;
+/// a slice is a flat open-addressing key table with accumulators in flat
+/// arrays and COUNT DISTINCT values in one more key table. Merge p folds
+/// slice p of every worker into worker 0's slice p, in worker order, reusing
+/// the stored hashes. Output: group columns (in given order) then one column
+/// per agg.
 class HashAggOp : public PhysOp {
  public:
   HashAggOp(PhysOpRef child, std::vector<int> group_cols,

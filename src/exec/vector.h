@@ -45,6 +45,14 @@ struct ColumnVector {
     }
   }
 
+  /// Empties every lane, keeping capacity (for reuse as an Eval target).
+  void Clear() {
+    ints.clear();
+    dbls.clear();
+    strs.clear();
+    nulls.clear();
+  }
+
   void AppendNull() {
     nulls.push_back(1);
     if (type == DataType::kDouble) {

@@ -80,6 +80,11 @@ Value RowGroup::GetValue(int pack, uint32_t offset) const {
   return Value{};
 }
 
+PackMeta RowGroup::meta(int pack) const {
+  std::lock_guard<std::mutex> g(meta_mu_);
+  return metas_[pack];
+}
+
 bool RowGroup::IntRangeDisjoint(int pack, bool has_lo, int64_t lo,
                                 bool has_hi, int64_t hi) const {
   std::lock_guard<std::mutex> g(meta_mu_);

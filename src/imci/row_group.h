@@ -101,11 +101,12 @@ class RowGroup {
   DataType pack_type(int pack) const { return packs_[pack].type; }
   Value GetValue(int pack, uint32_t offset) const;
 
-  const PackMeta& meta(int pack) const { return metas_[pack]; }
+  /// A copy of pack `pack`'s meta, taken under its lock: Phase#2 appliers
+  /// update a partial group's meta while scans and statistics consult it.
+  PackMeta meta(int pack) const;
   /// True when integer pack `pack` holds values and none of them can lie in
   /// [lo, hi] (each bound applies only when its flag is set). Reads the meta
-  /// under its lock: Phase#2 appliers update a partial group's meta while
-  /// scans consult it.
+  /// under its lock, without copying it.
   bool IntRangeDisjoint(int pack, bool has_lo, int64_t lo, bool has_hi,
                         int64_t hi) const;
 

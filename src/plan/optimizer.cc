@@ -24,7 +24,7 @@ void StatsCollector::Collect(const ImciStore& store, int sample_groups) {
       for (size_t g = 0; g < ngroups; g += step) {
         auto grp = index->group(g);
         if (!grp) continue;
-        const PackMeta& m = grp->meta(pack);
+        const PackMeta m = grp->meta(pack);
         if (!m.has_value) continue;
         if (IsIntegerType(schema.column(c).type)) {
           if (!cs.has_range) {

@@ -42,7 +42,7 @@ TEST(CheckpointTest, IndexRoundTripPreservesContentAndVisibility) {
   EXPECT_EQ(AsInt(row[1]), 777);
   EXPECT_TRUE(dst.LookupByPk(10, 100, &row).IsNotFound());
   // Pack metas were rebuilt (pruning stays sound).
-  const PackMeta& m = dst.group(0)->meta(dst.PackForColumn(0));
+  const PackMeta m = dst.group(0)->meta(dst.PackForColumn(0));
   EXPECT_TRUE(m.has_value);
   EXPECT_EQ(m.min_i, 0);
 }

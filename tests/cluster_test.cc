@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "tests/test_util.h"
@@ -277,6 +278,33 @@ TEST_F(ClusterTest, VisibilityDelayIsMeasured) {
   EXPECT_GT(ro->pipeline()->vd_histogram()->Count(), 0u);
   // Visibility delay at this scale should be well under a second.
   EXPECT_LT(ro->pipeline()->vd_histogram()->Percentile(0.99), 1'000'000u);
+}
+
+// Optimizer statistics sample every group's Pack Meta, including the tail
+// group that Phase#2 appliers are still extending: the read has to take the
+// meta lock (the tsan preset reports the race otherwise).
+TEST_F(ClusterTest, RefreshStatsRunsAlongsideReplicatedInserts) {
+  RoNode* ro = cluster_->ro(0);
+  std::atomic<bool> done{false};
+  std::thread refresher([&] {
+    while (!done.load()) ro->RefreshStats();
+  });
+  auto* txns = cluster_->rw()->txn_manager();
+  for (int i = 0; i < 300; ++i) {
+    Transaction txn;
+    txns->Begin(&txn);
+    EXPECT_TRUE(txns->Insert(&txn, 1, {int64_t(20000 + i), int64_t(i)}).ok());
+    EXPECT_TRUE(txns->Commit(&txn).ok());
+  }
+  EXPECT_TRUE(ro->CatchUpNow().ok());
+  done.store(true);
+  refresher.join();
+  ro->RefreshStats();
+  const TableStats* ts = ro->stats()->Get(1);
+  ASSERT_NE(ts, nullptr);
+  EXPECT_GE(ts->row_count, 1300u);
+  ASSERT_TRUE(ts->cols[0].has_range);
+  EXPECT_EQ(ts->cols[0].max, 20299);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <map>
+#include <set>
 
 #include "exec/expr.h"
 #include "exec/operators.h"
@@ -330,6 +333,251 @@ TEST_F(OperatorTest, LimitCutsAcrossBatches) {
   ASSERT_TRUE(RunPlan(limit, &ctx_, &out).ok());
   EXPECT_EQ(out.size(), 3000u);
 }
+
+/// Emits `rows` in batches of `batch_rows`, so hash-operator inputs span
+/// many batches and, at dop > 1, every worker.
+class BatchedValuesOp : public PhysOp {
+ public:
+  BatchedValuesOp(std::vector<DataType> types, std::vector<Row> rows,
+                  size_t batch_rows)
+      : rows_(std::move(rows)), batch_rows_(batch_rows) {
+    out_types_ = std::move(types);
+  }
+  Status Execute(ExecContext* /*ctx*/, RowSet* out) override {
+    out->types = out_types_;
+    for (size_t i = 0; i < rows_.size(); i += batch_rows_) {
+      Batch b = Batch::Make(out_types_);
+      for (size_t r = i; r < std::min(rows_.size(), i + batch_rows_); ++r) {
+        for (size_t c = 0; c < rows_[r].size(); ++c) {
+          b.cols[c].AppendValue(rows_[r][c]);
+        }
+        b.rows++;
+      }
+      out->batches.push_back(std::move(b));
+    }
+    return Status::OK();
+  }
+
+ private:
+  std::vector<Row> rows_;
+  size_t batch_rows_;
+};
+
+/// Hash aggregation and join at dop 1 and 4 over tiny batches, checked
+/// against expectations computed with std::map or written out by hand.
+class HashOpTest : public ::testing::TestWithParam<int> {
+ protected:
+  HashOpTest() : pool_(4) {
+    ctx_.pool = &pool_;
+    ctx_.parallelism = GetParam();
+    ctx_.read_vid = kMaxVid;
+  }
+  static PhysOpRef Batched(std::vector<Row> rows, std::vector<DataType> types,
+                           size_t batch_rows) {
+    return std::make_shared<BatchedValuesOp>(std::move(types),
+                                             std::move(rows), batch_rows);
+  }
+  std::vector<Row> Run(const PhysOpRef& op) {
+    std::vector<Row> out;
+    EXPECT_TRUE(RunPlan(op, &ctx_, &out).ok());
+    return out;
+  }
+  ThreadPool pool_;
+  ExecContext ctx_;
+};
+
+TEST_P(HashOpTest, CountDistinctIsExactWhenGroupsSpanBatches) {
+  // Group 7 holds only NULL values; every other group repeats its values.
+  // Enough batches that the pool's helpers join in, so at dop 4 a group's
+  // values are split over several workers' slices.
+  std::vector<Row> rows;
+  std::map<int64_t, std::set<int64_t>> want_v;
+  std::map<int64_t, std::set<std::string>> want_s;
+  std::map<int64_t, int64_t> want_rows;
+  for (int64_t i = 0; i < 40000; ++i) {
+    const int64_t g = i % 8;
+    Value v, s;
+    if (g != 7 && i % 10 != 3) {
+      v = (i * 13) % (g + 5);
+      want_v[g].insert(AsInt(v));
+    }
+    if (g != 7 && i % 7 != 0) {
+      s = "s" + std::to_string(i % (g + 2));
+      want_s[g].insert(AsString(s));
+    }
+    want_rows[g]++;
+    rows.push_back({g, v, s});
+  }
+  auto agg = std::make_shared<HashAggOp>(
+      Batched(rows, {DataType::kInt64, DataType::kInt64, DataType::kString},
+              3),
+      std::vector<int>{0},
+      std::vector<AggSpec>{{AggKind::kCountDistinct, Col(1, DataType::kInt64)},
+                           {AggKind::kCountStar, nullptr},
+                           {AggKind::kCountDistinct,
+                            Col(2, DataType::kString)}});
+  const std::vector<Row> out = Run(agg);
+  ASSERT_EQ(out.size(), want_rows.size());
+  for (const Row& r : out) {
+    const int64_t g = AsInt(r[0]);
+    EXPECT_EQ(AsInt(r[1]), static_cast<int64_t>(want_v[g].size())) << g;
+    EXPECT_EQ(AsInt(r[2]), want_rows[g]) << g;
+    EXPECT_EQ(AsInt(r[3]), static_cast<int64_t>(want_s[g].size())) << g;
+  }
+  EXPECT_EQ(want_v[7].size(), 0u);
+}
+
+TEST_P(HashOpTest, ManyGroupsAgreeWithStdMap) {
+  // 60K groups grow every slice's table several times.
+  constexpr int64_t kGroups = 60000;
+  std::vector<Row> rows;
+  std::map<int64_t, std::pair<int64_t, int64_t>> want;  // sum, count
+  for (int64_t i = 0; i < 2 * kGroups; ++i) {
+    const int64_t g = (i * 7919) % kGroups;
+    rows.push_back({g, i});
+    want[g].first += i;
+    want[g].second++;
+  }
+  auto agg = std::make_shared<HashAggOp>(
+      Batched(rows, {DataType::kInt64, DataType::kInt64}, 64),
+      std::vector<int>{0},
+      std::vector<AggSpec>{{AggKind::kSum, Col(1, DataType::kInt64)},
+                           {AggKind::kCountStar, nullptr},
+                           {AggKind::kSumInt, Col(1, DataType::kInt64)}});
+  const std::vector<Row> out = Run(agg);
+  ASSERT_EQ(out.size(), want.size());
+  std::map<int64_t, std::pair<int64_t, int64_t>> got;
+  for (const Row& r : out) {
+    EXPECT_EQ(AsDouble(r[1]), static_cast<double>(AsInt(r[3])));
+    got[AsInt(r[0])] = {AsInt(r[3]), AsInt(r[2])};
+  }
+  EXPECT_EQ(got, want);
+}
+
+TEST_P(HashOpTest, MinMaxOnStringsAndDoubles) {
+  const std::vector<Row> rows = {
+      {int64_t(1), std::string("pear"), 2.5},
+      {int64_t(2), Value{}, Value{}},
+      {int64_t(1), std::string("apple"), -7.25},
+      {int64_t(3), std::string("fig"), 1e300},
+      {int64_t(1), Value{}, 100.0},
+      {int64_t(3), std::string("date"), -1e-300},
+      {int64_t(1), std::string("zucchini"), Value{}},
+      {int64_t(3), std::string("fig"), 0.5},
+      {int64_t(1), std::string("banana"), -7.0},
+  };
+  auto agg = std::make_shared<HashAggOp>(
+      Batched(rows, {DataType::kInt64, DataType::kString, DataType::kDouble},
+              2),
+      std::vector<int>{0},
+      std::vector<AggSpec>{{AggKind::kMin, Col(1, DataType::kString)},
+                           {AggKind::kMax, Col(1, DataType::kString)},
+                           {AggKind::kMin, Col(2, DataType::kDouble)},
+                           {AggKind::kMax, Col(2, DataType::kDouble)}});
+  auto sort = std::make_shared<SortOp>(agg, std::vector<SortKey>{{0, false}});
+  const std::vector<Row> out = Run(sort);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(AsString(out[0][1]), "apple");
+  EXPECT_EQ(AsString(out[0][2]), "zucchini");
+  EXPECT_EQ(AsDouble(out[0][3]), -7.25);
+  EXPECT_EQ(AsDouble(out[0][4]), 100.0);
+  for (int c = 1; c <= 4; ++c) EXPECT_TRUE(IsNull(out[1][c])) << c;
+  EXPECT_EQ(AsString(out[2][1]), "date");
+  EXPECT_EQ(AsString(out[2][2]), "fig");
+  EXPECT_EQ(AsDouble(out[2][3]), -1e-300);
+  EXPECT_EQ(AsDouble(out[2][4]), 1e300);
+}
+
+TEST_P(HashOpTest, NullGroupKeyFormsItsOwnGroup) {
+  const std::vector<Row> rows = {
+      {Value{}, int64_t(1)}, {int64_t(1), Value{}}, {Value{}, Value{}},
+      {int64_t(1), int64_t(1)}, {Value{}, int64_t(1)}, {Value{}, Value{}},
+      {int64_t(1), Value{}}, {int64_t(0), int64_t(0)}, {Value{}, Value{}},
+  };
+  auto agg = std::make_shared<HashAggOp>(
+      Batched(rows, {DataType::kInt64, DataType::kInt64}, 2),
+      std::vector<int>{0, 1},
+      std::vector<AggSpec>{{AggKind::kCountStar, nullptr}});
+  auto sort = std::make_shared<SortOp>(
+      agg, std::vector<SortKey>{{0, false}, {1, false}});
+  const std::vector<Row> out = Run(sort);
+  // NULL sorts first: (N,N) x3, (N,1) x2, (0,0) x1, (1,N) x2, (1,1) x1.
+  const std::vector<std::string> want = {"NULL|NULL|3", "NULL|1|2", "0|0|1",
+                                         "1|NULL|2", "1|1|1"};
+  ASSERT_EQ(out.size(), want.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(ValueToString(out[i][0]) + "|" + ValueToString(out[i][1]) +
+                  "|" + ValueToString(out[i][2]),
+              want[i]);
+  }
+}
+
+TEST_P(HashOpTest, GlobalAggOnEmptyInputReturnsExactlyOneRow) {
+  auto agg = std::make_shared<HashAggOp>(
+      Batched({}, {DataType::kDouble}, 4), std::vector<int>{},
+      std::vector<AggSpec>{{AggKind::kCountStar, nullptr},
+                           {AggKind::kSum, Col(0, DataType::kDouble)},
+                           {AggKind::kCountDistinct, Col(0, DataType::kDouble)},
+                           {AggKind::kMin, Col(0, DataType::kDouble)}});
+  const std::vector<Row> out = Run(agg);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(AsInt(out[0][0]), 0);
+  EXPECT_TRUE(IsNull(out[0][1]));
+  EXPECT_EQ(AsInt(out[0][2]), 0);
+  EXPECT_TRUE(IsNull(out[0][3]));
+}
+
+TEST_P(HashOpTest, JoinEmitsDuplicateMatchesInBuildOrder) {
+  // Build rows (key, tag): tag is the build position, key = tag % 5, plus
+  // NULL keys that must never match.
+  std::vector<Row> build;
+  for (int64_t t = 0; t < 60; ++t) {
+    build.push_back({t % 9 == 4 ? Value{} : Value{t % 5}, t});
+  }
+  const std::vector<Row> probe = {
+      {int64_t(3), int64_t(100)}, {Value{}, int64_t(101)},
+      {int64_t(7), int64_t(102)}, {int64_t(0), int64_t(103)},
+      {int64_t(3), int64_t(104)},
+  };
+  auto join = [&](JoinType type) {
+    return std::make_shared<HashJoinOp>(
+        Batched(build, {DataType::kInt64, DataType::kInt64}, 7),
+        Batched(probe, {DataType::kInt64, DataType::kInt64}, 2),
+        std::vector<int>{0}, std::vector<int>{0}, type);
+  };
+  // Expected rows in emission order: probe order, then build order; the
+  // left join adds one NULL-extended row per unmatched probe row.
+  std::vector<std::string> inner, left;
+  for (const Row& p : probe) {
+    const std::string head = ValueToString(p[1]);
+    bool matched = false;
+    for (const Row& b : build) {
+      if (!IsNull(p[0]) && !IsNull(b[0]) && AsInt(p[0]) == AsInt(b[0])) {
+        inner.push_back(head + "|" + ValueToString(b[1]));
+        left.push_back(inner.back());
+        matched = true;
+      }
+    }
+    if (!matched) left.push_back(head + "|NULL");
+  }
+  auto tags = [&](JoinType type) {
+    std::vector<std::string> got;
+    for (const Row& r : Run(join(type))) {
+      got.push_back(ValueToString(r[1]) +
+                    (r.size() > 2 ? "|" + ValueToString(r[3]) : ""));
+    }
+    return got;
+  };
+  EXPECT_EQ(inner.size(), 31u);  // key 3: 10 build rows (twice), key 0: 11
+  EXPECT_EQ(tags(JoinType::kInner), inner);
+  EXPECT_EQ(tags(JoinType::kLeft), left);
+  EXPECT_EQ(tags(JoinType::kSemi),
+            (std::vector<std::string>{"100", "103", "104"}));
+  EXPECT_EQ(tags(JoinType::kAnti),
+            (std::vector<std::string>{"101", "102"}));
+}
+
+INSTANTIATE_TEST_SUITE_P(Dop, HashOpTest, ::testing::Values(1, 4));
 
 TEST(CompactBatchTest, RemovesMaskedRowsInPlace) {
   Batch b = Batch::Make({DataType::kInt64, DataType::kString});

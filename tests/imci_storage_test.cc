@@ -77,7 +77,7 @@ TEST(ColumnIndexTest, PackMetaTracksMinMax) {
     ASSERT_TRUE(idx.Insert({i, 1000 + i, Value{}, Value{}}, 1).ok());
   }
   auto g = idx.group(0);
-  const PackMeta& m = g->meta(idx.PackForColumn(1));
+  const PackMeta m = g->meta(idx.PackForColumn(1));
   EXPECT_EQ(m.min_i, 1000);
   EXPECT_EQ(m.max_i, 1063);
   EXPECT_EQ(m.value_count, 64u);

@@ -143,9 +143,7 @@ int main(int argc, char** argv) {
   // readers grow on the RW node itself* — point gets plus 300-row range
   // scans through the row engine at a pinned read view. Readers take no row
   // locks and never hold the table latch across a scan (per-step latching),
-  // so writer commits/s must stay flat within noise as readers grow. A
-  // final datapoint runs the same peak reader load on the legacy
-  // read-committed path (runtime switch) for contrast in the trend file.
+  // so writer commits/s must stay flat within noise as readers grow.
   // Readers pace themselves with a 1 ms think time: the claim under test is
   // "readers don't *block* writers"; unpaced spin-readers on a small CI box
   // would only measure CPU fair-share, drowning the latching signal.
@@ -156,10 +154,8 @@ int main(int argc, char** argv) {
               "RW snapshot readers grow\n", rw_tp);
   std::printf("%-12s %14s %14s %14s %10s\n", "rw_readers", "tp_commit_s",
               "tp_tps", "read_qps", "tp_loss");
-  auto run_rw_read_step = [&](int readers, bool legacy, double* base_cps) {
-    txns->set_read_mode(legacy
-                            ? TransactionManager::ReadMode::kReadCommitted
-                            : TransactionManager::ReadMode::kSnapshot);
+  double rw_base_cps = 0;
+  auto run_rw_read_step = [&](int readers) {
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> reads{0};
     std::vector<std::thread> rthreads;
@@ -204,26 +200,19 @@ int main(int argc, char** argv) {
     for (auto& th : rthreads) th.join();
     const double commit_s = (txns->commits() - commits_before) / elapsed;
     const double read_qps = reads.load() / elapsed;
-    if (readers == 0 && !legacy) *base_cps = commit_s;
+    if (readers == 0) rw_base_cps = commit_s;
     const double loss =
-        100.0 * (*base_cps - commit_s) / std::max(*base_cps, 1e-9);
+        100.0 * (rw_base_cps - commit_s) / std::max(rw_base_cps, 1e-9);
     report.Row()
         .Set("rw_readers", readers)
-        .Set("rw_legacy_read_mode", legacy ? 1 : 0)
         .Set("tp_commits_per_s", commit_s)
         .Set("tp_tps", tp_tps)
         .Set("rw_read_qps", read_qps)
         .Set("tp_loss_pct", loss);
-    std::printf("%-12s %14.0f %14.0f %14.1f %9.1f%%\n",
-                (std::to_string(readers) + (legacy ? " (rc)" : "")).c_str(),
-                commit_s, tp_tps, read_qps, loss);
-    txns->set_read_mode(TransactionManager::ReadMode::kSnapshot);
+    std::printf("%-12d %14.0f %14.0f %14.1f %9.1f%%\n", readers, commit_s,
+                tp_tps, read_qps, loss);
   };
-  double rw_base_cps = 0;
-  for (int readers : reader_steps) {
-    run_rw_read_step(readers, /*legacy=*/false, &rw_base_cps);
-  }
-  run_rw_read_step(reader_steps.back(), /*legacy=*/true, &rw_base_cps);
+  for (int readers : reader_steps) run_rw_read_step(readers);
   std::printf("# MVCC claim: writer commits/s flat within noise as RW "
               "snapshot readers grow (Fig 10c)\n");
   // Substrate accounting after the whole 10c run: how much version history

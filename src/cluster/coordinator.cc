@@ -47,8 +47,6 @@ Status QueryCoordinator::Execute(const LogicalRef& plan, Vid floor_vid,
   if (!CutFragments(plan, *catalog_, *stats_src, fanout, &fset).ok()) {
     return Status::OK();
   }
-  queries_attempted_.fetch_add(1, std::memory_order_relaxed);
-
   // Common-snapshot choice: the max applied VID across participants (at
   // least one node needs no wait), raised to the caller's floor. Every
   // fragment executes at exactly this VID, so concurrent RW commits are

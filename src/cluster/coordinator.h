@@ -89,7 +89,6 @@ class QueryCoordinator {
   const CoordinatorOptions& options() const { return options_; }
 
   // Lifetime counters.
-  uint64_t queries_attempted() const { return queries_attempted_.load(); }
   uint64_t queries_distributed() const { return queries_distributed_.load(); }
   uint64_t retries() const { return retries_.load(); }
   uint64_t stragglers() const { return stragglers_.load(); }
@@ -100,7 +99,6 @@ class QueryCoordinator {
   CoordinatorOptions options_;
   ChannelFactory channels_;
   std::atomic<int> max_participants_;
-  std::atomic<uint64_t> queries_attempted_{0};
   std::atomic<uint64_t> queries_distributed_{0};
   std::atomic<uint64_t> retries_{0};
   std::atomic<uint64_t> stragglers_{0};

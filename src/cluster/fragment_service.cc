@@ -100,59 +100,40 @@ Status FragmentService::Execute(const FragmentRequest& req,
   fault::ScopedContext fault_scope(node_->name());
   IMCI_RETURN_NOT_OK(fault::Maybe("fragment.execute"));
 
-  // Pin the requested snapshot on every index the fragment touches *before*
-  // waiting: maintenance must not reclaim versions the common snapshot can
-  // still read while we catch up to it.
-  std::vector<const LogicalNode*> scans;
-  CollectScans(req.plan, &scans);
-  std::vector<std::pair<ColumnIndex*, uint64_t>> pins;
-  for (const LogicalNode* s : scans) {
-    ColumnIndex* index = node_->imci()->GetIndex(s->table_id);
-    if (index) {
-      pins.emplace_back(index, index->read_views()->Pin(req.read_vid));
-    }
+  // Register the requested snapshot with the node's registry *before*
+  // waiting, so no maintenance pass during the catch-up can discard a
+  // version it reads. A VID below the registry's bound is refused: a past
+  // pass may already have pruned, dropped or reclaimed under it, so the
+  // coordinator must retry on a peer or fall back.
+  SnapshotRegistry* snaps = node_->engine()->snapshots();
+  if (!snaps->OpenAt(req.read_vid)) {
+    return Status::Busy("read view below the node's prune watermark");
   }
-  auto unpin = [&pins]() {
-    for (auto& [index, token] : pins) index->read_views()->Unpin(token);
-  };
 
   // Bounded catch-up to the common snapshot. A node that can't cover the
   // coordinator's VID in time answers Busy — the coordinator then shrinks
   // the participant set rather than stalling the whole query on one
   // straggler.
+  Status status;
   const auto wait_start = std::chrono::steady_clock::now();
-  while (node_->applied_vid() < req.read_vid) {
+  while (status.ok() && node_->applied_vid() < req.read_vid) {
     if (!node_->healthy()) {
-      unpin();
-      return Status::Busy("node unhealthy during catch-up");
+      status = Status::Busy("node unhealthy during catch-up");
+    } else if (ElapsedUs(wait_start) >= req.catchup_timeout_us) {
+      status = Status::Busy("snapshot catch-up timeout");
+    } else {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
-    if (ElapsedUs(wait_start) >= req.catchup_timeout_us) {
-      unpin();
-      return Status::Busy("snapshot catch-up timeout");
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   rsp->wait_us = ElapsedUs(wait_start);
 
-  const int desired =
-      req.dop > 0
-          ? req.dop
-          : ChooseDop(req.plan, *node_->stats(),
-                      node_->options().default_parallelism);
-  QueryTokenGrant grant(node_->query_tokens(), desired);
-  ExecContext ctx;
-  ctx.pool = node_->exec_pool();
-  ctx.parallelism = grant.tokens();
-  ctx.morsel_row_groups = node_->options().morsel_row_groups;
-  ctx.read_vid = req.read_vid;
-
-  const auto exec_start = std::chrono::steady_clock::now();
-  PhysOpRef root;
-  Status status = LowerToColumnPlan(req.plan, node_->imci(), &root);
-  if (status.ok()) status = RunPlan(root, &ctx, &rsp->rows);
-  rsp->exec_us = ElapsedUs(exec_start);
-  rsp->applied_vid = node_->applied_vid();
-  unpin();
+  if (status.ok()) {
+    const auto exec_start = std::chrono::steady_clock::now();
+    status = node_->RunColumnAt(req.plan, req.read_vid, req.dop, &rsp->rows);
+    rsp->exec_us = ElapsedUs(exec_start);
+    rsp->applied_vid = node_->applied_vid();
+  }
+  snaps->Close(req.read_vid, node_->pipeline()->applied_vid_ref());
   return status;
 }
 

@@ -34,7 +34,8 @@ Status DecodeFragmentRequest(const std::string& buf, FragmentRequest* out);
 struct FragmentResponse {
   /// Execution outcome on the remote node (transport errors surface from
   /// FragmentChannel::Submit instead). Busy means "couldn't reach the
-  /// common snapshot in time" — retryable on a peer.
+  /// common snapshot in time" or "can no longer read it" (the node pruned
+  /// past it) — retryable on a peer.
   Status status;
   Vid applied_vid = 0;   // node's applied VID when it answered
   uint64_t wait_us = 0;  // time spent catching up to read_vid
@@ -45,9 +46,10 @@ struct FragmentResponse {
 void EncodeFragmentResponse(const FragmentResponse& rsp, std::string* out);
 Status DecodeFragmentResponse(const std::string& buf, FragmentResponse* out);
 
-/// Executes fragment requests against one RO node: bounded catch-up wait to
-/// the requested snapshot, read-view pinning, lowering to the column engine,
-/// and execution under the node's worker-token regime.
+/// Executes fragment requests against one RO node: registers the requested
+/// snapshot with the node's SnapshotRegistry (refused, as Busy, when it lies
+/// below the registry's prune bound), waits a bounded time for the node to
+/// catch up to it, then runs the plan through RoNode::RunColumnAt.
 class FragmentService {
  public:
   explicit FragmentService(RoNode* node) : node_(node) {}

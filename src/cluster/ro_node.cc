@@ -163,11 +163,24 @@ Status RoNode::CatchUpNow() {
 
 Status RoNode::ExecuteColumn(const LogicalRef& plan, std::vector<Row>* out,
                              int parallelism, int* dop_used) {
+  // Register the applied point as this plan's read view (§6.4): the sample
+  // happens under the registry mutex, so no maintenance pass can slip in
+  // between reading the VID and registering it.
+  SnapshotRegistry* snaps = engine_.snapshots();
+  const Vid vid = snaps->Open(pipeline_.applied_vid_ref());
+  Status status = RunColumnAt(plan, vid, parallelism, out, dop_used);
+  snaps->Close(vid, pipeline_.applied_vid_ref());
+  return status;
+}
+
+Status RoNode::RunColumnAt(const LogicalRef& plan, Vid read_vid,
+                           int parallelism, std::vector<Row>* out,
+                           int* dop_used) {
   // Degree of parallelism: an explicit caller request wins (bench sweeps,
-  // tests); otherwise the optimizer sizes the fan-out to the estimated scan
-  // volume. Either way the request is then clamped to this query's token
-  // grant, so concurrent analytics queries share the pool's workers instead
-  // of each oversubscribing it.
+  // tests, fragment requests); otherwise the optimizer sizes the fan-out to
+  // the estimated scan volume. Either way the request is then clamped to
+  // this query's token grant, so concurrent analytics queries share the
+  // pool's workers instead of each oversubscribing it.
   const int desired =
       parallelism > 0
           ? parallelism
@@ -178,32 +191,20 @@ Status RoNode::ExecuteColumn(const LogicalRef& plan, std::vector<Row>* out,
   ctx.pool = &exec_pool_;
   ctx.parallelism = grant.tokens();
   ctx.morsel_row_groups = options_.morsel_row_groups;
-  ctx.read_vid = pipeline_.applied_vid();
-  // Pin the read view on every index the plan touches so maintenance never
-  // reclaims versions under us (§6.4 snapshot consistency).
-  std::vector<const LogicalNode*> scans;
-  CollectScans(plan, &scans);
-  std::vector<std::pair<ColumnIndex*, uint64_t>> pins;
-  for (const LogicalNode* s : scans) {
-    ColumnIndex* index = imci_.GetIndex(s->table_id);
-    if (index) pins.emplace_back(index, index->read_views()->Pin(ctx.read_vid));
-  }
+  ctx.read_vid = read_vid;
   PhysOpRef root;
-  Status status = LowerToColumnPlan(plan, &imci_, &root);
-  if (status.ok()) status = RunPlan(root, &ctx, out);
-  for (auto& [index, token] : pins) index->read_views()->Unpin(token);
-  return status;
+  IMCI_RETURN_NOT_OK(LowerToColumnPlan(plan, &imci_, &root));
+  return RunPlan(root, &ctx, out);
 }
 
 Status RoNode::ExecuteRow(const LogicalRef& plan, std::vector<Row>* out) {
   ExecContext ctx;
   ctx.pool = nullptr;  // the row engine executes single-threaded
   ctx.parallelism = 1;
-  // Pin the applied commit point for the whole plan (the row-engine
-  // counterpart of ExecuteColumn's read-view pin): every scan it contains
-  // sees one commit prefix, and maintenance pruning cannot reclaim the
-  // pinned versions until the registry releases them below.
-  SnapshotRegistry* snaps = engine_.row_snapshots();
+  // Register the applied commit point for the whole plan, exactly as
+  // ExecuteColumn does: every scan it contains sees one commit prefix, and
+  // maintenance pruning cannot reclaim its versions until Close below.
+  SnapshotRegistry* snaps = engine_.snapshots();
   const Vid vid = snaps->Open(pipeline_.applied_vid_ref());
   ctx.read_vid = vid;
   PhysOpRef root;

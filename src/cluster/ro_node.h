@@ -51,18 +51,27 @@ class RoNode {
 
   // --- Query execution ----------------------------------------------------
 
-  /// Runs on the column engine at the current applied read view. When
+  /// Runs on the column engine at the applied read view, registered with
+  /// the node's snapshot registry (engine()->snapshots()) for the whole run
+  /// so maintenance keeps every version the plan can still read. When
   /// `dop_used` is non-null it receives the parallelism actually granted
   /// after token clamping (surfaced by the bench scheduler counters).
   Status ExecuteColumn(const LogicalRef& plan, std::vector<Row>* out,
                        int parallelism = 0, int* dop_used = nullptr);
-  /// Runs on the row engine against the row-store replica, at a snapshot
-  /// pinned to the node's applied commit point — exactly like
-  /// RwNode::ExecuteSnapshot: Phase#1 installs replayed page changes as
-  /// in-flight versions and Phase#2 stamps them at the commit decision, so
-  /// a row scan can never observe a transaction mid-apply. The pin is
-  /// registered with the engine's snapshot registry so maintenance pruning
-  /// keeps every version the plan can still read.
+  /// Runs a column plan at `read_vid`, which the caller has already
+  /// registered with engine()->snapshots() and keeps registered until this
+  /// returns (ExecuteColumn and FragmentService::Execute). `parallelism`
+  /// 0 sizes the dop via ChooseDop; either way it is clamped to a
+  /// query-token grant.
+  Status RunColumnAt(const LogicalRef& plan, Vid read_vid, int parallelism,
+                     std::vector<Row>* out, int* dop_used = nullptr);
+  /// Runs on the row engine against the row-store replica, at the node's
+  /// applied commit point — exactly like RwNode::ExecuteSnapshot: Phase#1
+  /// installs replayed page changes as in-flight versions and Phase#2
+  /// stamps them at the commit decision, so a row scan can never observe a
+  /// transaction mid-apply. The snapshot is registered with the same
+  /// registry as column plans, so maintenance pruning keeps every version
+  /// the plan can still read.
   Status ExecuteRow(const LogicalRef& plan, std::vector<Row>* out);
   /// Cost-based intra-node routing (§6.1): row engine for cheap/point
   /// queries, column engine otherwise.

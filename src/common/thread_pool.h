@@ -36,9 +36,6 @@ class ThreadPool {
   uint64_t tasks_stolen() const {
     return tasks_stolen_.load(std::memory_order_relaxed);
   }
-  uint64_t tasks_run() const {
-    return tasks_run_.load(std::memory_order_relaxed);
-  }
 
  private:
   // One deque per worker; a plain mutex per deque keeps the protocol simple
@@ -65,7 +62,6 @@ class ThreadPool {
 
   std::atomic<uint64_t> next_queue_{0};
   std::atomic<uint64_t> tasks_stolen_{0};
-  std::atomic<uint64_t> tasks_run_{0};
 };
 
 /// Counts outstanding tasks; Wait() blocks until all added tasks finished.

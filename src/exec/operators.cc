@@ -142,8 +142,10 @@ Status ColumnScanOp::Execute(ExecContext* ctx, RowSet* out) {
       if (start >= ngroups) return;
       const size_t end = std::min(ngroups, start + morsel);
       for (size_t gid = start; gid < end; ++gid) {
+        // A retired (compacted) group stays readable below its compaction
+        // VID until reclaimed; the per-row visibility check filters it.
         auto g = index_->group(gid);
-        if (!g || g->retired()) continue;
+        if (!g) continue;
         const uint32_t used = index_->GroupUsed(gid);
         if (used == 0) continue;
         // Partition skip is correctness-driven, not gated on the pruning

@@ -4,25 +4,6 @@
 
 namespace imci {
 
-uint64_t ReadViewRegistry::Pin(Vid vid) {
-  std::lock_guard<std::mutex> g(mu_);
-  uint64_t token = next_token_++;
-  pinned_[token] = vid;
-  return token;
-}
-
-void ReadViewRegistry::Unpin(uint64_t token) {
-  std::lock_guard<std::mutex> g(mu_);
-  pinned_.erase(token);
-}
-
-Vid ReadViewRegistry::MinActive(Vid if_none) const {
-  std::lock_guard<std::mutex> g(mu_);
-  Vid min = if_none;
-  for (const auto& [token, vid] : pinned_) min = std::min(min, vid);
-  return min;
-}
-
 ColumnIndex::ColumnIndex(std::shared_ptr<const Schema> schema,
                          ColumnIndexOptions options)
     : schema_(std::move(schema)),
@@ -200,23 +181,23 @@ Status ColumnIndex::CompactGroup(size_t gid, Vid vid, uint32_t* moved) {
   return Status::OK();
 }
 
-size_t ColumnIndex::ReclaimRetired(Vid min_active_vid) {
+size_t ColumnIndex::ReclaimRetired(Vid watermark) {
   size_t freed = 0;
   std::unique_lock<std::shared_mutex> g(groups_mu_);
   for (auto& grp : groups_) {
     if (!grp || !grp->retired()) continue;
-    // Safe once no pinned reader can see any version in the group: every row
-    // was marked deleted at the compaction VID, so the oldest active read
-    // view (>= that VID) observes nothing here; neither can any newer one.
-    bool any_visible = false;
+    // Safe once no read view at or above the watermark can see a version in
+    // the group: compaction deleted every row by its VID, so the group goes
+    // once each published row's delete VID is at or below the watermark.
+    // Invisibility *at* the watermark is not enough — a row inserted above
+    // it stays visible to a newer view until its delete VID.
+    bool readable = false;
     const uint32_t cap = grp->capacity();
-    for (uint32_t off = 0; off < cap; ++off) {
-      if (grp->Visible(off, min_active_vid)) {
-        any_visible = true;
-        break;
-      }
+    for (uint32_t off = 0; off < cap && !readable; ++off) {
+      readable = grp->InsertVid(off) != kInvalidVid &&
+                 grp->DeleteVid(off) > watermark;
     }
-    if (!any_visible) {
+    if (!readable) {
       grp.reset();
       ++freed;
     }
@@ -224,13 +205,13 @@ size_t ColumnIndex::ReclaimRetired(Vid min_active_vid) {
   return freed;
 }
 
-size_t ColumnIndex::DropInsertVidMaps(Vid min_active_vid) {
+size_t ColumnIndex::DropInsertVidMaps(Vid watermark) {
   size_t dropped = 0;
   const size_t n = num_groups();
   for (size_t i = 0; i < n; ++i) {
     auto g = group(i);
     if (g && GroupUsed(i) == options_.row_group_size &&
-        g->MaybeDropInsertVids(min_active_vid)) {
+        g->MaybeDropInsertVids(watermark)) {
       ++dropped;
     }
   }

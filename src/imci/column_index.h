@@ -16,22 +16,6 @@
 
 namespace imci {
 
-/// Tracks pinned read views so maintenance (compaction reclaim, insert-VID
-/// map dropping, checkpoint) knows the oldest VID any reader may observe.
-class ReadViewRegistry {
- public:
-  /// Pins `vid`; returns a token for Unpin.
-  uint64_t Pin(Vid vid);
-  void Unpin(uint64_t token);
-  /// Oldest pinned VID, or `if_none` when nothing is pinned.
-  Vid MinActive(Vid if_none) const;
-
- private:
-  mutable std::mutex mu_;
-  uint64_t next_token_ = 1;
-  std::unordered_map<uint64_t, Vid> pinned_;
-};
-
 struct ColumnIndexOptions {
   /// Rows per row group ("64K rows per row group" by default, §4.1).
   uint32_t row_group_size = 65536;
@@ -45,8 +29,9 @@ struct ColumnIndexOptions {
 /// an update appends the new version and logically deletes the old one.
 ///
 /// Writers are the Phase#2 replay workers (RIDs are pre-assigned, so slots
-/// never contend) and DDL bulk build; readers are the column engine's scans,
-/// which pin a read view VID.
+/// never contend) and DDL bulk build; readers are the column engine's scans
+/// at a read view VID registered with the node's SnapshotRegistry
+/// (rowstore/mvcc.h), whose watermark bounds every drop and reclaim below.
 class ColumnIndex {
  public:
   ColumnIndex(std::shared_ptr<const Schema> schema,
@@ -93,7 +78,6 @@ class ColumnIndex {
   Status LookupByPk(int64_t pk, Vid read_vid, Row* row) const;
 
   RidLocator* locator() { return &locator_; }
-  ReadViewRegistry* read_views() { return &read_views_; }
   const ColumnIndexOptions& options() const { return options_; }
 
   /// Materializes the indexed columns of the row stored at `rid` (no
@@ -115,11 +99,13 @@ class ColumnIndex {
   /// between apply batches). Returns the number of migrated rows.
   Status CompactGroup(size_t gid, Vid vid, uint32_t* moved);
 
-  /// Frees retired groups no active reader can still access.
-  size_t ReclaimRetired(Vid min_active_vid);
+  /// Frees retired groups no read view at or above `watermark` (the node's
+  /// SnapshotRegistry bound) can still access.
+  size_t ReclaimRetired(Vid watermark);
 
-  /// Drops insert-VID maps of full groups older than every active reader.
-  size_t DropInsertVidMaps(Vid min_active_vid);
+  /// Drops insert-VID maps of full groups whose inserts all lie below
+  /// `watermark`, so every read view the registry still admits sees them.
+  size_t DropInsertVidMaps(Vid watermark);
 
   uint64_t visible_rows(Vid read_vid) const;
 
@@ -143,7 +129,6 @@ class ColumnIndex {
   mutable std::shared_mutex groups_mu_;
   std::vector<std::shared_ptr<RowGroup>> groups_;
   RidLocator locator_;
-  ReadViewRegistry read_views_;
 };
 
 /// All column indexes of one RO node (one per table with indexed columns).

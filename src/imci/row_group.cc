@@ -134,9 +134,9 @@ void RowGroup::UpdateMeta(int pack, const Value& v) {
   if (m.sample.size() < 64) m.sample.push_back(v);
 }
 
-bool RowGroup::MaybeDropInsertVids(Vid min_active_vid) {
+bool RowGroup::MaybeDropInsertVids(Vid watermark) {
   if (insert_vids_dropped_.load(std::memory_order_acquire)) return true;
-  if (max_insert_vid_.load(std::memory_order_acquire) >= min_active_vid) {
+  if (max_insert_vid_.load(std::memory_order_acquire) >= watermark) {
     return false;
   }
   // Every published insert is older than every possible read view: the

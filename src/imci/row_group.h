@@ -110,11 +110,11 @@ class RowGroup {
   bool IntRangeDisjoint(int pack, bool has_lo, int64_t lo, bool has_hi,
                         int64_t hi) const;
 
-  /// Drops the insert-VID map once no active transaction can have a read
-  /// view older than every insert in the group (§4.3 memory-footprint
-  /// optimization). `min_active_vid` is the oldest pinned read view. The
-  /// caller only offers full groups (ColumnIndex::DropInsertVidMaps).
-  bool MaybeDropInsertVids(Vid min_active_vid);
+  /// Drops the insert-VID map once no read view can be older than every
+  /// insert in the group (§4.3 memory-footprint optimization): every insert
+  /// lies below `watermark`, the node's SnapshotRegistry bound. The caller
+  /// only offers full groups (ColumnIndex::DropInsertVidMaps).
+  bool MaybeDropInsertVids(Vid watermark);
   bool insert_vids_dropped() const {
     return insert_vids_dropped_.load(std::memory_order_acquire);
   }

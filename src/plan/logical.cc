@@ -74,13 +74,6 @@ LogicalRef LValues(std::vector<DataType> types, std::vector<Row> rows) {
   return n;
 }
 
-void CollectScans(const LogicalRef& node,
-                  std::vector<const LogicalNode*>* out) {
-  if (!node) return;
-  if (node->kind == LogicalKind::kScan) out->push_back(node.get());
-  for (const LogicalRef& c : node->children) CollectScans(c, out);
-}
-
 namespace {
 
 template <typename ScanLower>

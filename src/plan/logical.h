@@ -82,9 +82,6 @@ Status LowerToColumnPlan(const LogicalRef& node, const ImciStore* imci,
 Status LowerToRowPlan(const LogicalRef& node, const RowStoreEngine* rows,
                       PhysOpRef* out);
 
-/// Number of scan nodes / referenced tables (diagnostics, routing).
-void CollectScans(const LogicalRef& node, std::vector<const LogicalNode*>* out);
-
 }  // namespace imci
 
 #endif  // POLARDB_IMCI_PLAN_LOGICAL_H_

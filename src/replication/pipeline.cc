@@ -381,7 +381,6 @@ Status ReplicationPipeline::PollRedoOnce() {
       // go too — the compensation records (which precede the abort record in
       // the log, hence already applied) restored the pages.
       DropReplicaVersions(*buf);
-      aborted_txns_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     if (d.vid <= options_.skip_vids_upto) continue;  // in the checkpoint
@@ -524,10 +523,10 @@ void ReplicationPipeline::StampReplicaVersions(const TxnBuffer& buf,
                                                Vid vid) {
   if (!MaintainsRowReplica()) return;
   // Trim opportunistically like the RW commit path: the registry hint is
-  // only ever stale-low (row-engine readers pin at or above it), which
+  // only ever stale-low (every reader registers at or above it), which
   // merely trims less.
   const Vid trim =
-      std::min(replica_engine_->row_snapshots()->hint(), vid - 1);
+      std::min(replica_engine_->snapshots()->hint(), vid - 1);
   for (const auto& [table_id, pks] : PksByTable(buf)) {
     RowTable* t = replica_engine_->GetTable(table_id);
     if (t != nullptr) t->StampVersions(buf.tid, vid, pks, trim);
@@ -612,9 +611,25 @@ void ReplicationPipeline::ApplyBatch(std::vector<CommittedTxn>& batch) {
     }
   });
   applied_ops_.fetch_add(ops, std::memory_order_relaxed);
+  const CommittedTxn& last = batch.back();
+  // Compaction (§4.3) commits at this batch's VID, before it is published:
+  // no reader can be scanning at that VID yet, and readers below it keep
+  // the old versions. At the already-published VID, a scan running at it
+  // could count a moved row twice or miss it.
+  if (compaction_due_) {
+    compaction_due_ = false;
+    for (ColumnIndex* index : imci_->All()) {
+      for (size_t gid : index->FindUnderflowGroups(
+               last.vid, options_.compaction_threshold)) {
+        uint32_t moved = 0;
+        if (index->CompactGroup(gid, last.vid, &moved).ok()) {
+          compactions_.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    }
+  }
   // Batch commit: advance the node's read view only after every op of every
   // transaction in the batch landed, so readers see transactions atomically.
-  const CommittedTxn& last = batch.back();
   applied_vid_.store(last.vid, std::memory_order_release);
   applied_lsn_.store(last.lsn, std::memory_order_release);
   committed_txns_.fetch_add(batch.size(), std::memory_order_relaxed);
@@ -627,29 +642,17 @@ void ReplicationPipeline::ApplyBatch(std::vector<CommittedTxn>& batch) {
 }
 
 void ReplicationPipeline::RunMaintenance() {
-  const Vid applied = applied_vid_.load(std::memory_order_acquire);
+  compaction_due_ = options_.enable_compaction;
+  // One bound for the whole pass: the node's snapshot registry admits no
+  // read view (row plan, column plan or fragment) below it, so nothing
+  // pruned, dropped or reclaimed under it can still be read.
+  const Vid wm = replica_engine_->snapshots()->Watermark(applied_vid_);
   if (MaintainsRowReplica()) {
-    // Same watermark discipline as the RW's checkpoint pruning: drop row
-    // version history below the oldest row-engine snapshot still pinned on
-    // this node (RoNode::ExecuteRow registers them), capped by the applied
-    // commit point.
-    const Vid wm =
-        replica_engine_->row_snapshots()->Watermark(applied_vid_);
     for (RowTable* t : replica_engine_->AllTables()) t->PruneVersions(wm);
   }
   for (ColumnIndex* index : imci_->All()) {
-    const Vid min_active = index->read_views()->MinActive(applied);
-    index->DropInsertVidMaps(min_active);
-    if (options_.enable_compaction) {
-      for (size_t gid :
-           index->FindUnderflowGroups(applied, options_.compaction_threshold)) {
-        uint32_t moved = 0;
-        if (index->CompactGroup(gid, applied, &moved).ok()) {
-          compactions_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-    index->ReclaimRetired(index->read_views()->MinActive(applied));
+    index->DropInsertVidMaps(wm);
+    index->ReclaimRetired(wm);
   }
 }
 

@@ -75,15 +75,18 @@ struct ReplicationOptions {
 /// Phase#2 (parallel row-grained apply into the column indexes, batched
 /// commit of the applied VID).
 ///
-/// Maintenance (compaction, insert-VID-map dropping, retired group
-/// reclamation) runs in the coordinator thread between batches, which
-/// serializes it with Phase#2 as ColumnIndex::CompactGroup requires.
+/// Maintenance (insert-VID-map dropping, retired group reclamation) runs in
+/// the coordinator thread between batches. Its bound is the watermark of
+/// `replica_engine`'s SnapshotRegistry, the one registry every read on the
+/// node registers with. Each pass also schedules compaction into the next
+/// batch, which runs it after Phase#2 and before publishing the batch's VID
+/// (serialized with Phase#2 as ColumnIndex::CompactGroup requires).
 class ReplicationPipeline {
  public:
   ReplicationPipeline(PolarFs* fs, const Catalog* catalog,
                       BufferPool* ro_pool, ImciStore* imci, ThreadPool* pool,
                       ReplicationOptions options,
-                      RowStoreEngine* replica_engine = nullptr);
+                      RowStoreEngine* replica_engine);
   ~ReplicationPipeline();
 
   /// Starts the background coordinator, tailing the log from `from_lsn`
@@ -123,7 +126,6 @@ class ReplicationPipeline {
 
   uint64_t applied_ops() const { return applied_ops_.load(); }
   uint64_t committed_txns() const { return committed_txns_.load(); }
-  uint64_t aborted_txns() const { return aborted_txns_.load(); }
   uint64_t precommitted_txns() const { return precommitted_txns_.load(); }
   uint64_t compactions() const { return compactions_.load(); }
 
@@ -206,8 +208,7 @@ class ReplicationPipeline {
   /// version chains Phase#1 installs into (redo-reuse only: the binlog
   /// carries no page changes, so logical-apply replicas stay at the base state).
   bool MaintainsRowReplica() const {
-    return replica_engine_ != nullptr &&
-           options_.source == ApplySource::kRedoReuse;
+    return options_.source == ApplySource::kRedoReuse;
   }
   /// Phase#2 commit decision for the row replica: stamps the transaction's
   /// in-flight versions with its commit VID. Runs before applied_vid_
@@ -239,7 +240,6 @@ class ReplicationPipeline {
   std::atomic<Vid> applied_vid_{0};
   std::atomic<uint64_t> applied_ops_{0};
   std::atomic<uint64_t> committed_txns_{0};
-  std::atomic<uint64_t> aborted_txns_{0};
   std::atomic<uint64_t> precommitted_txns_{0};
   std::atomic<uint64_t> compactions_{0};
   LatencyHistogram vd_;
@@ -248,6 +248,7 @@ class ReplicationPipeline {
   std::atomic<bool> running_{false};
   std::atomic<uint64_t> checkpoint_request_{0};
   int polls_since_maintenance_ = 0;
+  bool compaction_due_ = false;  // the next ApplyBatch compacts
 
   std::atomic<bool> wedged_{false};
   std::atomic<uint64_t> heartbeat_us_{0};

@@ -217,7 +217,6 @@ Status TransactionManager::GetForUpdate(Transaction* txn, TableId table,
 Status TransactionManager::Get(TableId table, int64_t pk, Row* row) {
   const RowTable* t = engine_->GetTable(table);
   if (t == nullptr) return Status::NotFound("table");
-  if (read_mode_.load() == ReadMode::kReadCommitted) return t->Get(pk, row);
   // Single-statement read: the snapshot is sampled under the table latch
   // (SnapshotGetCurrent), so no live-view registration is needed — point
   // reads skip the SnapshotRegistry mutex entirely.
@@ -225,17 +224,14 @@ Status TransactionManager::Get(TableId table, int64_t pk, Row* row) {
 }
 
 ReadView TransactionManager::OpenReadView() {
-  if (read_mode_.load() == ReadMode::kReadCommitted) {
-    return ReadView(nullptr, kMaxVid);
-  }
   // The engine's shared registry samples the published point under its own
   // mutex, so a concurrent watermark computation can never exceed the view
   // we are registering.
-  return ReadView(this, engine_->row_snapshots()->Open(snapshot_vid_));
+  return ReadView(this, engine_->snapshots()->Open(snapshot_vid_));
 }
 
 void TransactionManager::CloseReadView(Vid vid) {
-  engine_->row_snapshots()->Close(vid, snapshot_vid_);
+  engine_->snapshots()->Close(vid, snapshot_vid_);
 }
 
 void ReadView::Close() {
@@ -246,14 +242,13 @@ void ReadView::Close() {
 }
 
 Vid TransactionManager::PruneWatermark() const {
-  return engine_->row_snapshots()->Watermark(snapshot_vid_);
+  return engine_->snapshots()->Watermark(snapshot_vid_);
 }
 
 Status TransactionManager::Get(const ReadView& view, TableId table, int64_t pk,
                                Row* row) {
   const RowTable* t = engine_->GetTable(table);
   if (t == nullptr) return Status::NotFound("table");
-  if (view.vid() == kMaxVid) return t->Get(pk, row);  // legacy latest read
   return t->SnapshotGet(view.vid(), pk, row);
 }
 
@@ -262,7 +257,6 @@ Status TransactionManager::Scan(
     const std::function<bool(int64_t, const Row&)>& fn) {
   const RowTable* t = engine_->GetTable(table);
   if (t == nullptr) return Status::NotFound("table");
-  if (view.vid() == kMaxVid) return t->Scan(fn);
   return t->SnapshotScan(view.vid(), fn);
 }
 
@@ -271,7 +265,6 @@ Status TransactionManager::ScanRange(
     const std::function<bool(int64_t, const Row&)>& fn) {
   const RowTable* t = engine_->GetTable(table);
   if (t == nullptr) return Status::NotFound("table");
-  if (view.vid() == kMaxVid) return t->ScanRange(lo, hi, fn);
   return t->SnapshotScanRange(view.vid(), lo, hi, fn);
 }
 
@@ -280,7 +273,6 @@ Status TransactionManager::IndexLookup(const ReadView& view, TableId table,
                                        std::vector<int64_t>* pks) {
   const RowTable* t = engine_->GetTable(table);
   if (t == nullptr) return Status::NotFound("table");
-  if (view.vid() == kMaxVid) return t->IndexLookup(col, key, pks);
   return t->SnapshotIndexLookup(view.vid(), col, key, pks);
 }
 
@@ -381,7 +373,7 @@ Status TransactionManager::Commit(Transaction* txn) {
   Lsn binlog_lsn = 0;
   Status enqueue_status;
   const Vid trim_hint =
-      txn->undo_.empty() ? 0 : engine_->row_snapshots()->hint();
+      txn->undo_.empty() ? 0 : engine_->snapshots()->hint();
   {
     // Short critical section: VID assignment and the commit-record
     // *enqueue* happen under one mutex so that commit-VID order equals
@@ -482,7 +474,7 @@ Status TransactionManager::Commit(Transaction* txn) {
   // hint pinned low and chains would only shrink at checkpoints. try_lock
   // inside — losing the race to readers just means the next commit
   // refreshes it.
-  engine_->row_snapshots()->TryRefresh(snapshot_vid_);
+  engine_->snapshots()->TryRefresh(snapshot_vid_);
   return Status::OK();
 }
 

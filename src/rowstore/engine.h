@@ -47,11 +47,12 @@ class RowStoreEngine {
   const Catalog* catalog() const { return catalog_; }
   std::atomic<PageId>* page_allocator() { return &page_alloc_; }
 
-  /// Live row snapshots on this engine (rowstore/mvcc.h): the RW's
-  /// transaction manager registers its read views here, an RO node its
-  /// row-engine executions — and every version trim/prune on this engine's
-  /// tables bounds itself by the same registry's watermark.
-  SnapshotRegistry* row_snapshots() { return &row_snaps_; }
+  /// Live snapshots on this node (rowstore/mvcc.h): the RW's transaction
+  /// manager registers its read views here, an RO node its row plans,
+  /// column plans and fragments — and every version trim/prune on this
+  /// engine's tables, like every column-index drop and reclaim on the RO,
+  /// bounds itself by the same registry's watermark.
+  SnapshotRegistry* snapshots() { return &snapshots_; }
 
   /// ARIES-style undo at boot: rolls back the page effects of every
   /// transaction whose versions are still unstamped at the end of physical
@@ -79,7 +80,7 @@ class RowStoreEngine {
   Catalog* catalog_;
   BufferPool pool_;
   std::atomic<PageId> page_alloc_{0};
-  SnapshotRegistry row_snaps_;
+  SnapshotRegistry snapshots_;
   mutable std::mutex mu_;
   std::unordered_map<TableId, std::unique_ptr<RowTable>> tables_;
 };
@@ -122,8 +123,7 @@ class TransactionManager;
 /// TransactionManager, so commit-time chain trimming and checkpoint pruning
 /// keep every version the view can still read. All reads through one view
 /// observe a single commit point (snapshot isolation). A default-constructed
-/// view — or one opened while the manager is in legacy read-committed mode —
-/// carries vid kMaxVid and reads the latest state instead.
+/// view carries vid kMaxVid and reads the newest committed state.
 class ReadView {
  public:
   ReadView() = default;
@@ -144,8 +144,6 @@ class ReadView {
   ~ReadView() { Close(); }
 
   Vid vid() const { return vid_; }
-  /// True when this view pins a registered MVCC snapshot.
-  bool IsSnapshot() const { return mgr_ != nullptr; }
   /// Unregisters the snapshot early (idempotent).
   void Close();
 
@@ -169,16 +167,9 @@ class ReadView {
 /// publishing that VID as the new snapshot point, so a snapshot S always
 /// sees exactly the transactions with commit VID <= S. `GetForUpdate` still
 /// reads latest-committed under the exclusive row lock, and write-write
-/// conflicts are unchanged. The legacy unlocked read-committed path survives
-/// behind set_read_mode(ReadMode::kReadCommitted) so the pre-MVCC anomalies
-/// stay demonstrable.
+/// conflicts are unchanged.
 class TransactionManager {
  public:
-  /// kSnapshot: reads resolve MVCC version chains at a snapshot VID
-  /// (default). kReadCommitted: the pre-MVCC unlocked read of the latest
-  /// B+tree image — dirty reads included; kept as the legacy/ablation arm.
-  enum class ReadMode : uint8_t { kSnapshot, kReadCommitted };
-
   /// When the snapshot point advances past a commit (the PR-4 carried
   /// visibility-vs-durability question):
   ///
@@ -207,13 +198,11 @@ class TransactionManager {
   /// Locks the row, then reads it (SELECT ... FOR UPDATE).
   Status GetForUpdate(Transaction* txn, TableId table, int64_t pk, Row* row);
 
-  /// Single-statement read at a fresh snapshot (legacy mode: unlocked
-  /// read-committed).
+  /// Single-statement read at a fresh snapshot.
   Status Get(TableId table, int64_t pk, Row* row);
 
   /// Opens a read view at the current commit point; all reads through it see
-  /// one consistent snapshot until it closes. In legacy mode the view is
-  /// unregistered and reads latest state.
+  /// one consistent snapshot until it closes.
   ReadView OpenReadView();
   Status Get(const ReadView& view, TableId table, int64_t pk, Row* row);
   Status Scan(const ReadView& view, TableId table,
@@ -234,11 +223,6 @@ class TransactionManager {
 
   /// Enables/disables the Binlog strawman (Fig. 11).
   void set_binlog_enabled(bool on) { binlog_enabled_ = on; }
-
-  /// Switches the read path (MVCC snapshot vs legacy read-committed); safe
-  /// to flip between benchmark phases.
-  void set_read_mode(ReadMode m) { read_mode_.store(m); }
-  ReadMode read_mode() const { return read_mode_.load(); }
 
   /// Switches when commits become visible to new snapshots (commit point vs
   /// durable watermark). Flip only while no commit is in flight (startup /
@@ -297,7 +281,6 @@ class TransactionManager {
   LockManager* locks_;
   BinlogWriter* binlog_;
   bool binlog_enabled_ = false;
-  std::atomic<ReadMode> read_mode_{ReadMode::kSnapshot};
   std::atomic<Tid> next_tid_{0};
   std::atomic<Vid> next_vid_{0};
   /// Published snapshot point: advanced (in VID order, under commit_mu_)

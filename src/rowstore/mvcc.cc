@@ -378,6 +378,13 @@ Vid SnapshotRegistry::Open(const std::atomic<Vid>& published) {
   return vid;
 }
 
+bool SnapshotRegistry::OpenAt(Vid vid) {
+  std::lock_guard<std::mutex> g(mu_);
+  if (vid < hint_.load(std::memory_order_relaxed)) return false;
+  live_[vid]++;
+  return true;
+}
+
 void SnapshotRegistry::Close(Vid vid, const std::atomic<Vid>& published) {
   std::lock_guard<std::mutex> g(mu_);
   auto it = live_.find(vid);

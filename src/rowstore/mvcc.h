@@ -267,14 +267,15 @@ class VersionChains {
 };
 
 /// Registry of live snapshot VIDs feeding the version-prune watermark: no
-/// trim or prune may drop a version the oldest registered snapshot can still
-/// read. One instance per row-store engine — the RW's transaction manager
-/// registers its read views here, an RO node registers its row-engine
-/// executions, and both the commit-path trim and the maintenance prune read
-/// the same bound. `published` is always the owner's commit point (the RW's
-/// published snapshot VID / the RO's applied VID): new snapshots only open
-/// at or above it, so any previously computed watermark stays valid forever
-/// and can be cached in a lock-free hint for the hot commit path.
+/// trim, prune, drop or reclaim may discard a version the oldest registered
+/// snapshot can still read. One instance per row-store engine, so one per
+/// node — the RW's transaction manager registers its read views here, and an
+/// RO node registers its row plans, column plans and fragments; every commit
+/// trim and maintenance pass on the node reads the same bound. `published`
+/// is always the owner's commit point (the RW's published snapshot VID / the
+/// RO's applied VID). Every snapshot is registered at or above the cached
+/// bound `hint_`, so any previously computed watermark stays valid forever
+/// and hot paths can read the hint lock-free.
 class SnapshotRegistry {
  public:
   /// Registers a live snapshot at the current `published` point and returns
@@ -282,6 +283,12 @@ class SnapshotRegistry {
   /// watermark computation either sees the registration or finished before
   /// the sample — either way it never exceeds the returned VID.
   Vid Open(const std::atomic<Vid>& published);
+
+  /// Registers a live snapshot at `vid`, which may lie above `published`
+  /// (a fragment reading ahead of the node's applied point). Refuses and
+  /// registers nothing when `vid` is below the bound any prune may already
+  /// have used: versions that snapshot reads may be gone.
+  bool OpenAt(Vid vid);
 
   /// Unregisters one use of snapshot `vid` (refreshes the hint).
   void Close(Vid vid, const std::atomic<Vid>& published);

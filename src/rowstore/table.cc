@@ -78,12 +78,6 @@ Status RowTable::Get(int64_t pk, Row* row) const {
   return RowCodec::Decode(*schema_, image.data(), image.size(), row);
 }
 
-bool RowTable::Exists(int64_t pk) const {
-  std::shared_lock<WriterPrioritySharedMutex> g(latch_);
-  std::string image;
-  return btree_.Lookup(pk, &image).ok();
-}
-
 bool RowTable::CommittedImage(int64_t pk, std::string* image) const {
   std::shared_lock<WriterPrioritySharedMutex> g(latch_);
   auto it = versions_.find(pk);

@@ -73,7 +73,6 @@ class RowTable {
   Status Delete(int64_t pk, Row* old_row, std::vector<RedoRecord>* redo,
                 const RedoShipFn& ship = nullptr, Tid writer = 0);
   Status Get(int64_t pk, Row* row) const;
-  bool Exists(int64_t pk) const;
 
   /// Newest *committed* image of `pk` (chain resolution first, tree
   /// fallback). False when the row's committed state is absent/deleted.

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -322,8 +323,10 @@ std::shared_ptr<const Schema> SnapSchema() {
 // over; distributed group-by-generation counts must always see exactly one
 // generation covering the full table — a fragment reading generation n
 // while another reads n+1 would split the group. This is the common-
-// snapshot protocol's whole job.
-TEST_F(DistExecTest, ConcurrentCommitsAllOrNothingAcrossFragments) {
+// snapshot protocol's whole job. A nonzero `fragment_latency_us` delays
+// ro1's fragments by that much before they register the common snapshot,
+// so its replication and maintenance run past that VID first.
+void RunAllOrNothingQueries(int iters, uint32_t fragment_latency_us) {
   ClusterOptions opts;
   opts.initial_ro_nodes = 3;
   opts.ro.imci.row_group_size = 256;
@@ -339,6 +342,14 @@ TEST_F(DistExecTest, ConcurrentCommitsAllOrNothingAcrossFragments) {
   for (RoNode* ro : cluster->ro_nodes()) {
     ASSERT_TRUE(ro->CatchUpNow().ok());
     ro->RefreshStats();
+  }
+  std::optional<fault::ScopedFault> delay;
+  if (fragment_latency_us > 0) {
+    fault::Policy p;
+    p.kind = fault::Kind::kLatency;
+    p.latency_us = fragment_latency_us;
+    p.scope = cluster->ro(0)->name();
+    delay.emplace("fragment.execute", p);
   }
   std::atomic<bool> stop{false};
   std::thread writer([&] {
@@ -363,7 +374,6 @@ TEST_F(DistExecTest, ConcurrentCommitsAllOrNothingAcrossFragments) {
                    {AggSpec{AggKind::kCountStar, nullptr}});
   auto* coord = cluster->coordinator();
   int distributed = 0;
-  const int iters = testing_util::TestIters(30);
   for (int i = 0; i < iters; ++i) {
     std::vector<Row> out;
     DistQueryStats stats;
@@ -380,6 +390,88 @@ TEST_F(DistExecTest, ConcurrentCommitsAllOrNothingAcrossFragments) {
   stop.store(true);
   writer.join();
   EXPECT_GT(distributed, iters / 2);
+}
+
+TEST_F(DistExecTest, ConcurrentCommitsAllOrNothingAcrossFragments) {
+  RunAllOrNothingQueries(testing_util::TestIters(30), 0);
+}
+
+// The same contract when one participant's fragments arrive 3 ms late: by
+// then that node has usually applied newer commits and run maintenance. A
+// late fragment must either read the common snapshot intact or be refused
+// (Busy) and re-dispatched — never answer from state pruned past it.
+TEST_F(DistExecTest, ConcurrentCommitsAllOrNothingUnderFragmentLatency) {
+  RunAllOrNothingQueries(testing_util::TestIters(100), 3000);
+}
+
+// A fragment whose snapshot lies below what the node's maintenance already
+// discarded must be refused, not answered from the pruned state. A 16-row
+// insert fills row group 2; maintenance (every poll here) drops that group's
+// insert-VID map once no registered read view lies below the insert, after
+// which a read at the older VID would count the group's rows as visible.
+TEST_F(DistExecTest, FragmentBelowPruneWatermarkAnswersBusy) {
+  ClusterOptions opts;
+  opts.ro.imci.row_group_size = 16;
+  opts.ro.replication.maintenance_interval = 1;
+  auto cluster = std::make_unique<Cluster>(opts);
+  ASSERT_TRUE(cluster->CreateTable(SnapSchema()).ok());
+  std::vector<Row> rows;
+  for (int64_t id = 0; id < 32; ++id) rows.push_back(Row{id, 0});
+  ASSERT_TRUE(cluster->BulkLoad(kSnap, std::move(rows)).ok());
+  ASSERT_TRUE(cluster->Open().ok());
+  RoNode* ro = cluster->ro(0);
+  ASSERT_TRUE(ro->CatchUpNow().ok());
+  const Vid v0 = ro->applied_vid();
+
+  auto* txns = cluster->rw()->txn_manager();
+  Transaction insert;
+  txns->Begin(&insert);
+  for (int64_t id = 32; id < 48; ++id) {
+    ASSERT_TRUE(txns->Insert(&insert, kSnap, Row{id, int64_t{1}}).ok());
+  }
+  ASSERT_TRUE(txns->Commit(&insert).ok());
+  // Apply the insert alone, so its rows fill group 2 by themselves.
+  while (ro->applied_vid() < insert.commit_vid()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (int64_t gen = 2; gen < 5; ++gen) {
+    Transaction txn;
+    txns->Begin(&txn);
+    ASSERT_TRUE(txns->Update(&txn, kSnap, 0, Row{int64_t{0}, gen}).ok());
+    ASSERT_TRUE(txns->Commit(&txn).ok());
+  }
+  ASSERT_TRUE(ro->CatchUpNow().ok());
+  ASSERT_GT(ro->applied_vid(), v0);
+  ColumnIndex* index = ro->imci()->GetIndex(kSnap);
+  for (int i = 0; i < 5000; ++i) {
+    auto group = index->group(2);
+    if (group && group->insert_vids_dropped()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_NE(index->group(2), nullptr);
+  ASSERT_TRUE(index->group(2)->insert_vids_dropped());
+
+  auto count = LAgg(LScan(kSnap, {0}), {},
+                    {AggSpec{AggKind::kCountStar, nullptr}});
+  FragmentService service(ro);
+  FragmentRequest req;
+  req.plan = count;
+  req.read_vid = v0;
+  FragmentResponse rsp;
+  Status s = service.Execute(req, &rsp);
+  if (s.ok()) {
+    ASSERT_EQ(rsp.rows.size(), 1u);
+    EXPECT_EQ(std::get<int64_t>(rsp.rows[0][0]), 32)
+        << "fragment at VID " << v0 << " read pruned state";
+  }
+  EXPECT_TRUE(s.IsBusy()) << s.ToString();
+
+  // A fragment at the node's current point still runs, and sees all 48.
+  req.read_vid = ro->applied_vid();
+  FragmentResponse now;
+  ASSERT_TRUE(service.Execute(req, &now).ok());
+  ASSERT_EQ(now.rows.size(), 1u);
+  EXPECT_EQ(std::get<int64_t>(now.rows[0][0]), 48);
 }
 
 // Straggler shedding: one participant's replication reads are slowed to a

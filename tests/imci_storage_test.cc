@@ -3,6 +3,7 @@
 #include "common/rng.h"
 #include "imci/column_index.h"
 #include "imci/compression.h"
+#include "plan/logical.h"
 
 namespace imci {
 namespace {
@@ -104,6 +105,49 @@ TEST(ColumnIndexTest, InsertVidMapDropping) {
   EXPECT_FALSE(idx.group(1)->insert_vids_dropped());
   EXPECT_EQ(idx.visible_rows(10), 74u);
   EXPECT_EQ(idx.visible_rows(2), 64u);
+}
+
+// Compaction is non-blocking (§4.3): a read view below the compaction VID
+// still reads the retired group's old versions, and reclamation keeps the
+// group while any view at or above the watermark can see one of them.
+TEST(ColumnIndexTest, RetiredGroupStaysReadableBelowCompactionVid) {
+  ColumnIndexOptions opts;
+  opts.row_group_size = 4;
+  ImciStore store(opts);
+  ColumnIndex* idx = store.CreateIndex(TestSchema());
+  for (int64_t pk = 0; pk < 4; ++pk) {
+    ASSERT_TRUE(idx->Insert({pk, pk, Value{}, Value{}}, 5).ok());
+  }
+  for (int64_t pk = 0; pk < 3; ++pk) ASSERT_TRUE(idx->Delete(pk, 8).ok());
+  ASSERT_EQ(idx->FindUnderflowGroups(10), std::vector<size_t>{0});
+  uint32_t moved = 0;
+  ASSERT_TRUE(idx->CompactGroup(0, 10, &moved).ok());
+  EXPECT_EQ(moved, 1u);
+
+  auto count_at = [&](Vid vid) -> int64_t {
+    PhysOpRef root;
+    EXPECT_TRUE(LowerToColumnPlan(LAgg(LScan(1, {0}), {},
+                                       {AggSpec{AggKind::kCountStar,
+                                                nullptr}}),
+                                  &store, &root)
+                    .ok());
+    ExecContext ctx;
+    ctx.read_vid = vid;
+    std::vector<Row> out;
+    EXPECT_TRUE(RunPlan(root, &ctx, &out).ok());
+    return out.size() == 1 ? AsInt(out[0][0]) : -1;
+  };
+  EXPECT_EQ(count_at(6), 4);  // the retired group's versions
+  EXPECT_EQ(count_at(9), 1);
+  EXPECT_EQ(count_at(10), 1);  // the moved copy
+
+  // Nothing in the group is visible at VID 3, yet views at 5..9 see its
+  // rows and a watermark of 3 admits them: the group must stay.
+  EXPECT_EQ(idx->ReclaimRetired(3), 0u);
+  EXPECT_EQ(count_at(6), 4);
+  EXPECT_EQ(idx->ReclaimRetired(9), 0u);  // pk 3's old version: to VID 10
+  EXPECT_EQ(idx->ReclaimRetired(10), 1u);
+  EXPECT_EQ(idx->group(0), nullptr);
 }
 
 TEST(ColumnIndexTest, PreCommitInvisibleUntilRectified) {
@@ -252,18 +296,6 @@ TEST(DoubleCodecTest, RoundTrip) {
   std::vector<double> out;
   ASSERT_TRUE(DoubleCodec::Decode(buf, &out).ok());
   EXPECT_EQ(out, v);
-}
-
-TEST(ReadViewRegistryTest, MinActiveTracksPins) {
-  ReadViewRegistry reg;
-  EXPECT_EQ(reg.MinActive(100), 100u);
-  uint64_t t1 = reg.Pin(50);
-  uint64_t t2 = reg.Pin(70);
-  EXPECT_EQ(reg.MinActive(100), 50u);
-  reg.Unpin(t1);
-  EXPECT_EQ(reg.MinActive(100), 70u);
-  reg.Unpin(t2);
-  EXPECT_EQ(reg.MinActive(100), 100u);
 }
 
 }  // namespace

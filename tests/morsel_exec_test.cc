@@ -223,13 +223,11 @@ TEST_F(MorselExecTest, PinnedSnapshotStableAcrossDopUnderConcurrentCommits) {
   auto plans = Plans();
   for (int round = 0; round < rounds; ++round) {
     (void)ro_->CatchUpNow();
-    const Vid vid = ro_->applied_vid();
-    // Pin the snapshot on both indexes so background apply can't prune the
-    // versions this round still reads.
-    auto* fact_views = ro_->imci()->GetIndex(kFact)->read_views();
-    auto* dim_views = ro_->imci()->GetIndex(kDim)->read_views();
-    const uint64_t fact_pin = fact_views->Pin(vid);
-    const uint64_t dim_pin = dim_views->Pin(vid);
+    // Register the snapshot with the node's registry so background
+    // maintenance can't prune the versions this round still reads.
+    SnapshotRegistry* snaps = ro_->engine()->snapshots();
+    const std::atomic<Vid>& applied = ro_->pipeline()->applied_vid_ref();
+    const Vid vid = snaps->Open(applied);
     auto& [name, plan] = plans[round % plans.size()];
     SCOPED_TRACE(::testing::Message() << "round=" << round << " " << name);
     std::vector<std::string> reference;
@@ -250,8 +248,7 @@ TEST_F(MorselExecTest, PinnedSnapshotStableAcrossDopUnderConcurrentCommits) {
         ASSERT_EQ(canon, reference) << "dop=" << dop;
       }
     }
-    fact_views->Unpin(fact_pin);
-    dim_views->Unpin(dim_pin);
+    snaps->Close(vid, applied);
   }
   stop.store(true);
   for (auto& w : writers) w.join();

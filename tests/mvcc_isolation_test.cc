@@ -1,10 +1,11 @@
 // MVCC snapshot reads on the RW node: the anomaly matrix (dirty read,
 // non-repeatable read, read skew across two tables — each shown to
-// *reproduce* on the legacy pre-MVCC read path and to be impossible under
-// snapshot reads), write skew documented as allowed, multi-row transaction
-// atomicity under a concurrent write-heavy mix (the tsan stress), version
-// chain pruning pinned by long-lived snapshots across TriggerCheckpoint, and
-// the reader/writer latch regression: a slow scan no longer blocks writers.
+// *reproduce* on an unlocked read of the raw latest B+tree image, the
+// pre-MVCC read path, and to be impossible under snapshot reads), write
+// skew documented as allowed, multi-row transaction atomicity under a
+// concurrent write-heavy mix (the tsan stress), version chain pruning
+// pinned by long-lived snapshots across TriggerCheckpoint, and the
+// reader/writer latch regression: a slow scan no longer blocks writers.
 //
 // The RoMvccTest arm covers the RO side of the same substrate: Phase#1
 // physical replay installs replica page changes as *in-flight* versions
@@ -25,8 +26,6 @@
 
 namespace imci {
 namespace {
-
-using ReadMode = TransactionManager::ReadMode;
 
 std::shared_ptr<const Schema> KvSchema(TableId id, const std::string& name) {
   std::vector<ColumnDef> cols;
@@ -80,6 +79,15 @@ class MvccIsolationTest : public ::testing::Test {
     return s.ok() ? AsInt(row[1]) : -1;
   }
 
+  /// The pre-MVCC read: an unlocked read of the raw latest B+tree image,
+  /// uncommitted writes included — the path the anomaly halves reproduce on.
+  int64_t ReadRawV(TableId table, int64_t pk) {
+    Row row;
+    Status s = rw_->engine()->GetTable(table)->Get(pk, &row);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return s.ok() ? AsInt(row[1]) : -1;
+  }
+
   PolarFs fs_;
   Catalog catalog_;
   std::unique_ptr<RwNode> rw_;
@@ -97,11 +105,9 @@ TEST_F(MvccIsolationTest, DirtyReadImpossibleButReproducesOnLegacyPath) {
   // Snapshot read: the uncommitted write is invisible.
   EXPECT_EQ(ReadV(1, 0), 100);
 
-  // Legacy (pre-MVCC) read-committed path reads the raw B+tree image and
-  // sees the uncommitted write — the dirty-read anomaly this layer removes.
-  txns_->set_read_mode(ReadMode::kReadCommitted);
-  EXPECT_EQ(ReadV(1, 0), 999);
-  txns_->set_read_mode(ReadMode::kSnapshot);
+  // The pre-MVCC read of the raw B+tree image sees the uncommitted write —
+  // the dirty-read anomaly this layer removes.
+  EXPECT_EQ(ReadRawV(1, 0), 999);
 
   ASSERT_TRUE(txns_->Rollback(&t1).ok());
   EXPECT_EQ(ReadV(1, 0), 100);
@@ -124,18 +130,11 @@ TEST_F(MvccIsolationTest, NonRepeatableReadImpossibleUnderOneView) {
   EXPECT_EQ(ReadV(1, 3), 777);
   view.Close();
 
-  // Legacy arm: a "view" opened in read-committed mode is unregistered and
-  // reads latest state, so the same interleave produces two different
-  // values — the non-repeatable-read anomaly.
-  txns_->set_read_mode(ReadMode::kReadCommitted);
-  ReadView legacy = txns_->OpenReadView();
-  EXPECT_FALSE(legacy.IsSnapshot());
-  ASSERT_TRUE(txns_->Get(legacy, 1, 3, &row).ok());
-  const int64_t first = AsInt(row[1]);
+  // Pre-MVCC arm: two raw latest-image reads around the same interleave
+  // produce two different values — the non-repeatable-read anomaly.
+  const int64_t first = ReadRawV(1, 3);
   ASSERT_TRUE(UpdateOne(txns_, 1, 3, 778).ok());
-  ASSERT_TRUE(txns_->Get(legacy, 1, 3, &row).ok());
-  EXPECT_NE(AsInt(row[1]), first);  // anomaly reproduced
-  txns_->set_read_mode(ReadMode::kSnapshot);
+  EXPECT_NE(ReadRawV(1, 3), first);  // anomaly reproduced
 }
 
 TEST_F(MvccIsolationTest, ReadSkewAcrossTwoTablesImpossibleUnderSnapshot) {
@@ -153,17 +152,14 @@ TEST_F(MvccIsolationTest, ReadSkewAcrossTwoTablesImpossibleUnderSnapshot) {
     ASSERT_TRUE(txns_->Commit(&txn).ok());
   };
 
-  // Legacy: read A, let a transfer commit, read B — the sum is torn (the
-  // read-skew anomaly, deterministic with this handshake).
-  txns_->set_read_mode(ReadMode::kReadCommitted);
-  Row a, b;
-  ASSERT_TRUE(txns_->Get(1, 5, &a).ok());
+  // Pre-MVCC: raw-read A, let a transfer commit, raw-read B — the sum is
+  // torn (the read-skew anomaly, deterministic with this handshake).
+  const int64_t raw_a = ReadRawV(1, 5);
   transfer();
-  ASSERT_TRUE(txns_->Get(2, 5, &b).ok());
-  EXPECT_EQ(AsInt(a[1]) + AsInt(b[1]), 250);  // != 200: anomaly reproduced
+  EXPECT_EQ(raw_a + ReadRawV(2, 5), 250);  // != 200: anomaly reproduced
 
   // Snapshot: the same interleave under one view preserves the invariant.
-  txns_->set_read_mode(ReadMode::kSnapshot);
+  Row a, b;
   ReadView view = txns_->OpenReadView();
   ASSERT_TRUE(txns_->Get(view, 1, 5, &a).ok());
   transfer();
@@ -557,6 +553,98 @@ TEST_F(MvccIsolationTest, SlowScanNoLongerBlocksWriters) {
   writer_done.store(true);
   scanner.join();
   EXPECT_EQ(ReadV(4, 5), 42);
+}
+
+// One registry per node serves row plans, column plans and fragments. A
+// fragment registers an explicit VID (the coordinator's common snapshot);
+// below the bound a prune may already have used, it must be refused and
+// leave nothing registered.
+TEST(SnapshotRegistryTest, ExplicitVidBelowBoundIsRefused) {
+  SnapshotRegistry reg;
+  std::atomic<Vid> published{10};
+  EXPECT_EQ(reg.Watermark(published), 10u);  // a prune could use 10 now
+  EXPECT_FALSE(reg.OpenAt(9));
+  EXPECT_EQ(reg.live_count(), 0u);
+  EXPECT_TRUE(reg.OpenAt(10));
+  EXPECT_TRUE(reg.OpenAt(15));  // above the published point: read-ahead
+  EXPECT_EQ(reg.live_count(), 2u);
+  EXPECT_EQ(reg.Watermark(published), 10u);
+  reg.Close(10, published);
+  reg.Close(15, published);
+  published.store(20);
+  EXPECT_EQ(reg.Watermark(published), 20u);
+  EXPECT_FALSE(reg.OpenAt(15));
+  EXPECT_FALSE(reg.OpenAt(19));
+  EXPECT_TRUE(reg.OpenAt(20));
+  reg.Close(20, published);
+  EXPECT_EQ(reg.live_count(), 0u);
+}
+
+// The watermark never passes a live snapshot, whether Open sampled it or
+// OpenAt accepted it — deterministically, then with a pruner computing
+// watermarks while readers register and the published point advances.
+TEST(SnapshotRegistryTest, WatermarkNeverExceedsARegisteredVid) {
+  SnapshotRegistry reg;
+  std::atomic<Vid> published{50};
+  const Vid a = reg.Open(published);
+  EXPECT_EQ(a, 50u);
+  published.store(70);
+  ASSERT_TRUE(reg.OpenAt(60));
+  const Vid b = reg.Open(published);
+  EXPECT_EQ(b, 70u);
+  published.store(100);
+  ASSERT_TRUE(reg.OpenAt(120));
+  EXPECT_EQ(reg.Watermark(published), 50u);
+  reg.Close(a, published);
+  EXPECT_EQ(reg.Watermark(published), 60u);
+  reg.Close(60, published);
+  EXPECT_EQ(reg.Watermark(published), 70u);
+  reg.Close(b, published);
+  EXPECT_EQ(reg.Watermark(published), 100u);  // 120 lies above published
+  reg.Close(120, published);
+  EXPECT_EQ(reg.live_count(), 0u);
+
+  std::atomic<bool> stop{false};
+  std::atomic<Vid> last_wm{0};  // newest watermark the pruner computed
+  std::thread publisher([&] {
+    while (!stop.load()) {
+      published.fetch_add(1);
+      std::this_thread::yield();
+    }
+  });
+  std::thread pruner([&] {
+    while (!stop.load()) last_wm.store(reg.Watermark(published));
+  });
+  std::atomic<int> violations{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(91 + r);
+      for (int i = 0; i < 2000; ++i) {
+        Vid vid = 0;
+        if (i % 2 == 0) {
+          vid = reg.Open(published);
+        } else {
+          // A fragment's VID: somewhere around the published point.
+          vid = published.load() + rng.Next() % 8;
+          vid = vid >= 4 ? vid - 4 : 0;
+          if (!reg.OpenAt(vid)) continue;
+        }
+        for (int k = 0; k < 3; ++k) {
+          if (last_wm.load() > vid || reg.Watermark(published) > vid) {
+            violations.fetch_add(1);
+          }
+        }
+        reg.Close(vid, published);
+      }
+    });
+  }
+  for (auto& t : readers) t.join();
+  stop.store(true);
+  publisher.join();
+  pruner.join();
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_EQ(reg.live_count(), 0u);
 }
 
 }  // namespace

@@ -10,10 +10,7 @@
 //
 // Exits nonzero unless the durable path shows real batching: at 16 clients,
 // fsyncs-per-commit < 0.5 and commits/s above the single-client rate.
-#include <algorithm>
-
 #include "bench/bench_util.h"
-#include "log/group_committer.h"
 
 using namespace imci;
 using namespace imci::bench;
@@ -31,14 +28,11 @@ struct Point {
 
 /// One configuration: a fresh RW commit path (no cluster — the ceiling is an
 /// RW-local property), `clients` threads committing single-insert sysbench
-/// transactions for `secs`, optionally with the binlog arm enabled and a
-/// group-commit batch-latency delay (GroupCommitter::set_sync_delay_us).
-Point RunClients(int clients, double secs, uint32_t fsync_us, bool binlog,
-                 uint32_t sync_delay_us = 0) {
+/// transactions for `secs`, optionally with the binlog arm enabled.
+Point RunClients(int clients, double secs, uint32_t fsync_us, bool binlog) {
   PolarFs::Options fopts;
   fopts.fsync_latency_us = fsync_us;
   PolarFs fs(fopts);
-  fs.log("redo")->group()->set_sync_delay_us(sync_delay_us);
   Catalog catalog;
   RowStoreEngine engine(&fs, &catalog);
   sysbench::Sysbench sb(/*tables=*/8, /*rows=*/0,
@@ -153,47 +147,6 @@ int main(int argc, char** argv) {
                 p.commits_per_s, p.mean_commit_ms, p.p99_commit_ms,
                 p.mean_batch_size, p.fsyncs_per_commit, p.versions_per_commit);
   }
-  // Batch-latency knob sweep (ROADMAP PR 3 follow-up): at low-but-nonzero
-  // concurrency, does a tiny leader wait before the tail snapshot (MySQL's
-  // binlog_group_commit_sync_delay) buy larger batches worth its p50 cost?
-  // Swept at 4-8 clients, where batches are small enough for the delay to
-  // plausibly pay. Rows carry sync_delay_us so the trend tracker
-  // (scripts/collect_bench_trends.py) picks the datapoints up per commit.
-  const std::vector<int> delay_clients = smoke ? std::vector<int>{4}
-                                               : std::vector<int>{4, 8};
-  const std::vector<uint32_t> delays =
-      smoke ? std::vector<uint32_t>{0, 100}
-            : std::vector<uint32_t>{0, 50, 100, 200};
-  std::printf("# sync_delay sweep (batch-latency knob)\n");
-  std::printf("%-10s %14s %12s %14s %14s %12s %16s\n", "clients",
-              "sync_delay_us", "commits/s", "mean_commit_ms", "p99_commit_ms",
-              "batch_size", "fsyncs/commit");
-  double best_gain_8 = 0;
-  for (int clients : delay_clients) {
-    double base_tput = 0;
-    for (uint32_t delay : delays) {
-      const Point p = RunClients(clients, secs, fsync_us, binlog, delay);
-      if (delay == 0) base_tput = p.commits_per_s;
-      report.Row()
-          .Set("clients", clients)
-          .Set("sync_delay_us", delay)
-          .Set("commits_per_s", p.commits_per_s)
-          .Set("mean_commit_ms", p.mean_commit_ms)
-          .Set("p99_commit_ms", p.p99_commit_ms)
-          .Set("mean_batch_size", p.mean_batch_size)
-          .Set("fsyncs_per_commit", p.fsyncs_per_commit);
-      std::printf("%-10d %14u %12.0f %14.3f %14.3f %12.1f %16.3f\n", clients,
-                  delay, p.commits_per_s, p.mean_commit_ms, p.p99_commit_ms,
-                  p.mean_batch_size, p.fsyncs_per_commit);
-      if (base_tput > 0 && delay != 0) {
-        best_gain_8 = std::max(best_gain_8,
-                               (p.commits_per_s - base_tput) / base_tput);
-      }
-    }
-  }
-  report.Metric("sync_delay_best_gain", best_gain_8);
-  std::printf("# sync_delay verdict: best throughput gain over delay=0 at "
-              "4-8 clients: %+.1f%%\n", best_gain_8 * 100);
   // Headline metrics for the trend tracker (scripts/collect_bench_trends.py):
   // the commit ceiling across PRs is this pair at 16 clients.
   report.Metric("fsyncs_per_commit", fpc_16);

@@ -21,6 +21,7 @@
 
 #include "bench/bench_util.h"
 #include "common/arena.h"
+#include "common/latch.h"
 #include "rowstore/mvcc.h"
 
 namespace imci {
@@ -132,7 +133,7 @@ double InstallStampThroughput(uint64_t ops, int hot_pks, size_t image_bytes) {
 double ResolveThroughput(int readers, double secs, int pks, int depth,
                          size_t image_bytes) {
   VersionChains chains;
-  std::shared_mutex latch;
+  WriterPrioritySharedMutex latch;  // RowTable's table latch
   std::atomic<Vid> published{0};
   const std::string base = MakeImage(image_bytes, 2);
   Vid vid = 0;
@@ -160,7 +161,7 @@ double ResolveThroughput(int readers, double secs, int pks, int depth,
         const RowVersion* head = nullptr;
         Vid s = 0;
         {
-          std::shared_lock<std::shared_mutex> g(latch);
+          std::shared_lock<WriterPrioritySharedMutex> g(latch);
           s = published.load(std::memory_order_acquire);
           head = chains.Head(pk);
         }
@@ -179,7 +180,7 @@ double ResolveThroughput(int readers, double secs, int pks, int depth,
     while (!stop.load(std::memory_order_relaxed)) {
       const int64_t pk = static_cast<int64_t>(i++ % pks);
       const Tid tid = static_cast<Tid>(next + 1);
-      std::unique_lock<std::shared_mutex> g(latch);
+      std::unique_lock<WriterPrioritySharedMutex> g(latch);
       chains.Install(pk, tid, false, MakeImage(image_bytes, next), nullptr);
       chains.Stamp(tid, next + 1, {pk}, /*trim_below=*/0);
       published.store(++next, std::memory_order_release);

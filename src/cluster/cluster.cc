@@ -14,6 +14,11 @@
 namespace imci {
 
 namespace {
+/// Fleet monitor: apply lag above which a node earns a strike, and the
+/// consecutive strikes that evict it (FleetHealthOptions).
+constexpr uint64_t kMaxApplyLag = 1 << 20;
+constexpr int kLagStrikes = 5;
+
 RoNode* PickLeastLoadedLocked(const std::vector<RoNode*>& ros) {
   RoNode* best = nullptr;
   for (RoNode* ro : ros) {
@@ -113,8 +118,7 @@ Status Proxy::ExecuteQuery(const LogicalRef& plan, std::vector<Row>* out,
 Cluster::Cluster(ClusterOptions options)
     : options_(options),
       fs_(options.fs),
-      rw_(std::make_unique<RwNode>(&fs_, &catalog_,
-                                   options.rw_pool_capacity)),
+      rw_(std::make_unique<RwNode>(&fs_, &catalog_)),
       proxy_(rw_.get(), &ro_nodes_, &topo_mu_) {
   // Channel factory: wraps every currently-healthy RO in a session-claimed
   // in-process channel, under the topology lock — the same claim discipline
@@ -381,8 +385,8 @@ void Cluster::MonitorLoop() {
         victim = node;  // coordinator hung inside storage — same as dead
         break;
       }
-      if (h.apply_lag > options_.health.max_apply_lag) {
-        if (++lag_strikes[node->name()] >= options_.health.lag_strikes) {
+      if (h.apply_lag > kMaxApplyLag) {
+        if (++lag_strikes[node->name()] >= kLagStrikes) {
           victim = node;  // persistently unable to keep up
           break;
         }

@@ -68,15 +68,12 @@ class Proxy {
 /// Self-healing knobs (the fleet monitor thread): when enabled, the cluster
 /// detects wedged / hung / hopelessly lagging RO nodes, evicts them from
 /// routing, and (optionally) boots archive/checkpoint-based replacements
-/// that are re-admitted once they converge.
+/// that are re-admitted once they converge. A node is hopelessly lagging
+/// after 5 consecutive checks with an apply lag (LSN backlog) above 2^20
+/// records: a single burst of writes must not get a healthy node evicted.
 struct FleetHealthOptions {
   bool enabled = false;
   uint64_t check_interval_us = 2'000;
-  /// Apply-lag (LSN backlog) above which a node earns a strike; eviction
-  /// after `lag_strikes` consecutive over-limit checks (a single burst of
-  /// writes must not get a healthy node evicted).
-  uint64_t max_apply_lag = 1 << 20;
-  int lag_strikes = 5;
   /// A replicating node whose coordinator heartbeat is older than this is
   /// considered hung (thread stuck in storage) and evicted like a wedge.
   uint64_t heartbeat_timeout_us = 2'000'000;
@@ -90,7 +87,6 @@ struct FleetHealthOptions {
 struct ClusterOptions {
   PolarFs::Options fs;
   RoNodeOptions ro;
-  size_t rw_pool_capacity = 0;
   int initial_ro_nodes = 1;
   FleetHealthOptions health;
   CoordinatorOptions coordinator;

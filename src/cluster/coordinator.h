@@ -12,7 +12,6 @@
 namespace imci {
 
 struct CoordinatorOptions {
-  bool enabled = true;
   /// Upper bound on ROs recruited per query (the fleet may be larger).
   int max_participants = 8;
   /// Estimated scan volume below which distribution isn't worth the
@@ -24,9 +23,6 @@ struct CoordinatorOptions {
   /// Bound on each participant's applied_vid catch-up to the common
   /// snapshot; stragglers beyond it answer Busy and are shed.
   uint64_t catchup_timeout_us = 500'000;
-  /// Total dispatch attempts per fragment (first try + retries on
-  /// surviving peers) before the whole query falls back to single-node.
-  int max_attempts_per_fragment = 3;
   /// Intra-fragment parallelism per node; 0 lets each node size via
   /// ChooseDop against its own token grant.
   int fragment_dop = 0;
@@ -37,7 +33,7 @@ struct DistQueryStats {
   int participants = 0;
   int fragments = 0;
   uint64_t retries = 0;     // fragment re-dispatches after a failed attempt
-  uint64_t stragglers = 0;  // Busy answers (snapshot catch-up timeouts)
+  uint64_t stragglers = 0;  // Busy answers from nodes behind the snapshot
   Vid snapshot_vid = 0;     // the common read VID
   uint64_t merge_us = 0;    // coordinator-side merge + completion time
   struct FragmentTiming {

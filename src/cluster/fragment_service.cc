@@ -107,6 +107,7 @@ Status FragmentService::Execute(const FragmentRequest& req,
   // coordinator must retry on a peer or fall back.
   SnapshotRegistry* snaps = node_->engine()->snapshots();
   if (!snaps->OpenAt(req.read_vid)) {
+    rsp->applied_vid = node_->applied_vid();
     return Status::Busy("read view below the node's prune watermark");
   }
 
@@ -126,12 +127,12 @@ Status FragmentService::Execute(const FragmentRequest& req,
     }
   }
   rsp->wait_us = ElapsedUs(wait_start);
+  rsp->applied_vid = node_->applied_vid();
 
   if (status.ok()) {
     const auto exec_start = std::chrono::steady_clock::now();
     status = node_->RunColumnAt(req.plan, req.read_vid, req.dop, &rsp->rows);
     rsp->exec_us = ElapsedUs(exec_start);
-    rsp->applied_vid = node_->applied_vid();
   }
   snaps->Close(req.read_vid, node_->pipeline()->applied_vid_ref());
   return status;

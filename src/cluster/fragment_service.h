@@ -37,7 +37,9 @@ struct FragmentResponse {
   /// common snapshot in time" or "can no longer read it" (the node pruned
   /// past it) — retryable on a peer.
   Status status;
-  Vid applied_vid = 0;   // node's applied VID when it answered
+  /// Node's applied VID when it answered: below read_vid on a catch-up
+  /// timeout (a straggler), at or above it on a refused registration.
+  Vid applied_vid = 0;
   uint64_t wait_us = 0;  // time spent catching up to read_vid
   uint64_t exec_us = 0;  // fragment execution time
   std::vector<Row> rows;

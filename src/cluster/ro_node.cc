@@ -6,34 +6,20 @@
 
 namespace imci {
 
-namespace {
-/// Default the pipeline's fault scope to the node name, so chaos tests can
-/// fail storage for exactly this node's replication I/O (fault::Policy's
-/// `scope` matches the coordinator thread's ScopedContext tag).
-RoNodeOptions WithFaultScope(RoNodeOptions options, const std::string& name) {
-  if (options.replication.fault_scope.empty()) {
-    options.replication.fault_scope = name;
-  }
-  return options;
-}
-}  // namespace
-
 RoNode::RoNode(std::string name, PolarFs* fs, Catalog* catalog,
                RoNodeOptions options)
     : name_(std::move(name)),
       fs_(fs),
       catalog_(catalog),
-      options_(WithFaultScope(std::move(options), name_)),
-      engine_(fs, catalog, options_.buffer_pool_capacity),
+      options_(std::move(options)),
+      engine_(fs, catalog),
       imci_(options_.imci),
       exec_pool_(options_.exec_threads),
-      query_tokens_(options_.query_token_budget > 0
-                        ? options_.query_token_budget
-                        : options_.exec_threads),
+      query_tokens_(options_.exec_threads),
       repl_pool_(std::max(options_.replication.parse_parallelism,
                           options_.replication.apply_parallelism)),
-      pipeline_(fs, catalog, engine_.buffer_pool(), &imci_, &repl_pool_,
-                options_.replication, &engine_) {}
+      pipeline_(name_, fs, catalog, engine_.buffer_pool(), &imci_,
+                &repl_pool_, options_.replication, &engine_) {}
 
 RoNode::~RoNode() { StopReplication(); }
 
@@ -230,7 +216,7 @@ Status RoNode::Execute(const LogicalRef& plan, std::vector<Row>* out,
     if (chosen) *chosen = EngineChoice::kColumnEngine;
     return ExecuteColumn(plan, out);
   }
-  RoutingDecision d = RouteQuery(plan, stats_, options_.row_cost_threshold);
+  RoutingDecision d = RouteQuery(plan, stats_);
   if (chosen) *chosen = d.engine;
   if (d.engine == EngineChoice::kRowEngine) {
     Status s = ExecuteRow(plan, out);

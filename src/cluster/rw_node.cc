@@ -5,10 +5,9 @@
 
 namespace imci {
 
-RwNode::RwNode(PolarFs* fs, Catalog* catalog, size_t pool_capacity,
-               uint64_t lock_timeout_us)
+RwNode::RwNode(PolarFs* fs, Catalog* catalog, uint64_t lock_timeout_us)
     : fs_(fs),
-      engine_(fs, catalog, pool_capacity),
+      engine_(fs, catalog),
       redo_(fs->log("redo")),
       locks_(lock_timeout_us),
       binlog_(fs->log("binlog")),

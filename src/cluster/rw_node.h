@@ -17,8 +17,7 @@ namespace imci {
 /// through shared storage.
 class RwNode {
  public:
-  RwNode(PolarFs* fs, Catalog* catalog, size_t pool_capacity = 0,
-         uint64_t lock_timeout_us = 50'000);
+  RwNode(PolarFs* fs, Catalog* catalog, uint64_t lock_timeout_us = 50'000);
 
   Status CreateTable(std::shared_ptr<const Schema> schema) {
     return engine_.CreateTable(std::move(schema));

@@ -6,9 +6,7 @@ namespace imci {
 
 ColumnIndex::ColumnIndex(std::shared_ptr<const Schema> schema,
                          ColumnIndexOptions options)
-    : schema_(std::move(schema)),
-      options_(options),
-      locator_(options.locator_memtable_limit) {
+    : schema_(std::move(schema)), options_(options) {
   col_to_pack_.assign(schema_->num_columns(), -1);
   for (int c = 0; c < schema_->num_columns(); ++c) {
     // The PK column is always part of the index (needed by compaction and
@@ -116,12 +114,28 @@ Status ColumnIndex::RectifyInsert(Rid rid, int64_t pk, Vid vid) {
 
 Status ColumnIndex::LookupByPk(int64_t pk, Vid read_vid, Row* row) const {
   Rid rid;
-  IMCI_RETURN_NOT_OK(locator_.Get(pk, &rid));
-  auto group = GroupForRid(rid);
-  if (!group) return Status::NotFound("group reclaimed");
-  const uint32_t off = OffsetForRid(rid);
-  if (!group->Visible(off, read_vid)) return Status::NotFound("invisible");
-  return MaterializeRow(rid, row);
+  if (locator_.Get(pk, &rid).ok()) {
+    auto group = GroupForRid(rid);
+    if (group && group->Visible(OffsetForRid(rid), read_vid)) {
+      return MaterializeRow(rid, row);
+    }
+  }
+  // Older versions are not in the locator. At most one version of a PK is
+  // visible at any read view, so the first visible match is the answer.
+  const size_t n = num_groups();
+  for (size_t i = 0; i < n; ++i) {
+    auto g = group(i);
+    if (!g || g->IntRangeDisjoint(pk_pack_, true, pk, true, pk)) continue;
+    const int64_t* pks = g->int_data(pk_pack_);
+    const uint32_t used = GroupUsed(i);
+    for (uint32_t off = 0; off < used; ++off) {
+      // Visibility first: it publishes the slot's data (acquire).
+      if (g->Visible(off, read_vid) && pks[off] == pk) {
+        return MaterializeRow(g->base_rid() + off, row);
+      }
+    }
+  }
+  return Status::NotFound("no version visible");
 }
 
 Status ColumnIndex::MaterializeRow(Rid rid, Row* row) const {
@@ -135,8 +149,7 @@ Status ColumnIndex::MaterializeRow(Rid rid, Row* row) const {
   return Status::OK();
 }
 
-std::vector<size_t> ColumnIndex::FindUnderflowGroups(Vid read_vid,
-                                                     double threshold) const {
+std::vector<size_t> ColumnIndex::FindUnderflowGroups(Vid read_vid) const {
   std::vector<size_t> out;
   const size_t n = num_groups();
   for (size_t i = 0; i < n; ++i) {
@@ -145,7 +158,7 @@ std::vector<size_t> ColumnIndex::FindUnderflowGroups(Vid read_vid,
     const uint32_t used = GroupUsed(i);
     if (used < options_.row_group_size) continue;  // partial group: skip
     const uint32_t visible = g->CountVisible(used, read_vid);
-    if (static_cast<double>(visible) < threshold * used) out.push_back(i);
+    if (uint64_t{visible} * 2 < used) out.push_back(i);
   }
   return out;
 }

@@ -19,8 +19,6 @@ namespace imci {
 struct ColumnIndexOptions {
   /// Rows per row group ("64K rows per row group" by default, §4.1).
   uint32_t row_group_size = 65536;
-  /// Memtable entries across locator shards before L0 flush.
-  size_t locator_memtable_limit = 1 << 16;
 };
 
 /// The In-Memory Column Index for one table (§4): append-only row groups in
@@ -74,7 +72,10 @@ class ColumnIndex {
   /// Rows allocated in group `i` (<= row_group_size).
   uint32_t GroupUsed(size_t i) const;
 
-  /// PK point lookup through the locator at `read_vid`.
+  /// PK point lookup at `read_vid`. The locator maps a PK to its newest
+  /// version only; when that version is not visible at `read_vid` (an older
+  /// view, below the row's last update, delete or compaction), the version
+  /// that is visible is found by scanning the groups' PK pack.
   Status LookupByPk(int64_t pk, Vid read_vid, Row* row) const;
 
   RidLocator* locator() { return &locator_; }
@@ -86,11 +87,10 @@ class ColumnIndex {
 
   // --- Maintenance (§4.3) --------------------------------------------------
 
-  /// Groups whose valid-row fraction at `read_vid` is below `threshold`
+  /// Full groups with fewer than half of their rows valid at `read_vid`
   /// ("sparse Packs, with less than half of the valid rows, are picked as
   /// under-flowing").
-  std::vector<size_t> FindUnderflowGroups(Vid read_vid,
-                                          double threshold = 0.5) const;
+  std::vector<size_t> FindUnderflowGroups(Vid read_vid) const;
 
   /// Compaction transaction (§4.3): re-appends every row of group `gid`
   /// still visible at `vid` to the partial packs, marks old versions deleted

@@ -1,8 +1,6 @@
 #include "log/group_committer.h"
 
 #include <cassert>
-#include <chrono>
-#include <thread>
 
 #include "log/log_store.h"
 
@@ -44,16 +42,6 @@ Status GroupCommitter::SyncTo(Lsn lsn) {
     // Leader: snapshot the written tail first — the one fsync below covers
     // every record write-through appended up to this instant, not just ours.
     leader_active_ = true;
-    const uint64_t delay = sync_delay_us_.load(std::memory_order_relaxed);
-    if (delay > 0) {
-      // Batch-latency knob: let late committers append (and pile up on the
-      // condvar) before the tail snapshot, so the one fsync covers them
-      // too. The mutex is dropped — appends don't take it, but followers
-      // must be able to enqueue on the condvar while we wait.
-      l.unlock();
-      std::this_thread::sleep_for(std::chrono::microseconds(delay));
-      l.lock();
-    }
     const Lsn target = log_->written_lsn();
     l.unlock();
     Status s = log_->Sync();

@@ -178,12 +178,12 @@ PlanCost EstimatePlan(const LogicalRef& node, const StatsCollector& stats) {
 }
 
 RoutingDecision RouteQuery(const LogicalRef& plan,
-                           const StatsCollector& stats,
-                           double row_cost_threshold) {
+                           const StatsCollector& stats) {
+  constexpr double kRowCostThreshold = 20000.0;
   PlanCost cost = EstimatePlan(plan, stats);
   RoutingDecision d;
   d.row_cost = cost.rows_touched;
-  d.engine = cost.rows_touched > row_cost_threshold
+  d.engine = cost.rows_touched > kRowCostThreshold
                  ? EngineChoice::kColumnEngine
                  : EngineChoice::kRowEngine;
   return d;

@@ -50,13 +50,12 @@ enum class EngineChoice { kRowEngine, kColumnEngine };
 
 /// Intra-node routing (§6.1): assume the query runs on the row engine; if
 /// the estimated row-engine cost (rows it must touch through B+tree access
-/// paths) exceeds the threshold, generate the column-oriented plan instead.
+/// paths) exceeds 20000 rows, generate the column-oriented plan instead.
 struct RoutingDecision {
   EngineChoice engine;
   double row_cost = 0;
 };
-RoutingDecision RouteQuery(const LogicalRef& plan, const StatsCollector& stats,
-                           double row_cost_threshold = 20000.0);
+RoutingDecision RouteQuery(const LogicalRef& plan, const StatsCollector& stats);
 
 /// Degree-of-parallelism choice for the column engine's morsel executor:
 /// scale the worker count to the estimated scan volume so a point-ish query

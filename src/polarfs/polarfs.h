@@ -45,8 +45,8 @@ struct LogStoreOptions;
 /// checksums), spike latency, or crash the node. Unarmed points cost one
 /// relaxed atomic load.
 ///
-/// Clock/yield discipline: ALL simulated device time — configured fsync /
-/// page-read latency and injected latency spikes alike — is served by one
+/// Clock/yield discipline: ALL simulated device time — configured fsync
+/// latency and injected latency spikes alike — is served by one
 /// primitive, `YieldFor` (common/clock.h): a deadline wait that yields the
 /// CPU instead of sleeping or spinning. This is a hard requirement on
 /// 1-core runners: a blocking "device wait" must let other threads run
@@ -60,8 +60,6 @@ class PolarFs {
     /// Simulated latency added to every fsync (microseconds). Models the
     /// durable-write round trip the paper's Binlog baseline pays twice.
     uint32_t fsync_latency_us = 0;
-    /// Simulated latency per page read (cold read from shared storage).
-    uint32_t page_read_latency_us = 0;
     /// Soft segment size for logs opened through log() (see LogStore).
     size_t log_segment_bytes = 1 << 20;
     /// When set, every log opened through log() gets the shared ArchiveStore

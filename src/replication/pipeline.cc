@@ -11,12 +11,14 @@
 
 namespace imci {
 
-ReplicationPipeline::ReplicationPipeline(PolarFs* fs, const Catalog* catalog,
+ReplicationPipeline::ReplicationPipeline(std::string node_name, PolarFs* fs,
+                                         const Catalog* catalog,
                                          BufferPool* ro_pool, ImciStore* imci,
                                          ThreadPool* pool,
                                          ReplicationOptions options,
                                          RowStoreEngine* replica_engine)
-    : fs_(fs),
+    : node_name_(std::move(node_name)),
+      fs_(fs),
       catalog_(catalog),
       ro_pool_(ro_pool),
       imci_(imci),
@@ -64,7 +66,7 @@ bool IsTransient(const Status& s) { return s.IsIOError() || s.IsBusy(); }
 void ReplicationPipeline::CoordinatorLoop() {
   // Tag the thread for targeted fault injection: chaos tests wedge exactly
   // one node by arming a fault point with scope == this node's name.
-  fault::ScopedContext scope(options_.fault_scope);
+  fault::ScopedContext scope(node_name_);
   int failures = 0;
   uint64_t backoff_us = options_.retry_backoff_us;
   while (running_.load(std::memory_order_acquire)) {
@@ -311,7 +313,7 @@ Status ReplicationPipeline::PollLogicalOnce() {
   std::vector<CommittedTxn> batch;
   batch.reserve(txns.size());
   for (LogicalTxn& lt : txns) {
-    if (lt.vid <= options_.skip_vids_upto) continue;  // in the checkpoint
+    if (lt.vid <= skip_vids_upto_) continue;  // in the checkpoint
     CommittedTxn txn;
     txn.buffer = std::make_shared<TxnBuffer>();
     txn.buffer->tid = lt.tid;
@@ -383,7 +385,7 @@ Status ReplicationPipeline::PollRedoOnce() {
       DropReplicaVersions(*buf);
       continue;
     }
-    if (d.vid <= options_.skip_vids_upto) continue;  // in the checkpoint
+    if (d.vid <= skip_vids_upto_) continue;  // in the checkpoint
     CommittedTxn txn;
     txn.buffer = std::move(buf);
     txn.vid = d.vid;
@@ -429,7 +431,7 @@ Status ReplicationPipeline::BootstrapFromArchive(Lsn upto) {
     std::vector<CommittedTxn> batch;
     batch.reserve(txns.size());
     for (LogicalTxn& lt : txns) {
-      if (lt.vid <= options_.skip_vids_upto) continue;
+      if (lt.vid <= skip_vids_upto_) continue;
       CommittedTxn txn;
       txn.buffer = std::make_shared<TxnBuffer>();
       txn.buffer->tid = lt.tid;
@@ -619,8 +621,7 @@ void ReplicationPipeline::ApplyBatch(std::vector<CommittedTxn>& batch) {
   if (compaction_due_) {
     compaction_due_ = false;
     for (ColumnIndex* index : imci_->All()) {
-      for (size_t gid : index->FindUnderflowGroups(
-               last.vid, options_.compaction_threshold)) {
+      for (size_t gid : index->FindUnderflowGroups(last.vid)) {
         uint32_t moved = 0;
         if (index->CompactGroup(gid, last.vid, &moved).ok()) {
           compactions_.fetch_add(1, std::memory_order_relaxed);

@@ -45,15 +45,11 @@ struct ReplicationOptions {
   /// transaction's DMLs are delivered one poll cycle late, emulating
   /// ship-at-commit propagation.
   bool commit_ahead = true;
-  /// Transactions with commit VID <= this are skipped by Phase#2 (their
-  /// effects are already contained in the loaded checkpoint).
-  Vid skip_vids_upto = 0;
   uint64_t poll_timeout_us = 2000;
   /// Poll iterations between maintenance passes (compaction / VID-map
   /// dropping / reclamation).
   int maintenance_interval = 64;
   bool enable_compaction = true;
-  double compaction_threshold = 0.5;
   /// Bounded retry on transient source-read failures (IOError/Busy): the
   /// coordinator retries with exponential backoff, then declares the
   /// pipeline wedged. Corruption wedges immediately — retrying re-reads
@@ -61,11 +57,6 @@ struct ReplicationOptions {
   int max_transient_retries = 5;
   uint64_t retry_backoff_us = 200;        // first retry; doubles per attempt
   uint64_t retry_backoff_cap_us = 20'000;
-  /// Fault-injection scope tag for the coordinator thread
-  /// (fault::ScopedContext): chaos tests target exactly one node's
-  /// replication I/O by arming a fault point with this scope. RoNode sets
-  /// it to the node name; empty leaves the thread untagged.
-  std::string fault_scope;
 };
 
 /// The RO node's update-propagation engine (§5): a coordinator thread tails
@@ -83,7 +74,11 @@ struct ReplicationOptions {
 /// (serialized with Phase#2 as ColumnIndex::CompactGroup requires).
 class ReplicationPipeline {
  public:
-  ReplicationPipeline(PolarFs* fs, const Catalog* catalog,
+  /// `node_name` tags the coordinator thread for fault injection
+  /// (fault::ScopedContext): a fault point armed with that scope hits this
+  /// node's replication I/O only.
+  ReplicationPipeline(std::string node_name, PolarFs* fs,
+                      const Catalog* catalog,
                       BufferPool* ro_pool, ImciStore* imci, ThreadPool* pool,
                       ReplicationOptions options,
                       RowStoreEngine* replica_engine);
@@ -180,11 +175,10 @@ class ReplicationPipeline {
   /// Requests the coordinator to take a checkpoint at the next boundary.
   void RequestCheckpoint(uint64_t ckpt_id);
 
-  /// Sets the checkpoint filter (transactions with commit VID <= `csn` are
-  /// already folded into the booted state). Must be called before Start —
-  /// the pipeline holds its own copy of the options, so writing the
-  /// RoNodeOptions after construction has no effect.
-  void set_skip_vids_upto(Vid csn) { options_.skip_vids_upto = csn; }
+  /// Sets the checkpoint filter: Phase#2 skips transactions with commit
+  /// VID <= `csn`, whose effects the booted state already contains. Must be
+  /// called before Start.
+  void set_skip_vids_upto(Vid csn) { skip_vids_upto_ = csn; }
 
  private:
   struct CommittedTxn {
@@ -220,6 +214,7 @@ class ReplicationPipeline {
   /// records, which precede the abort record in the log).
   void DropReplicaVersions(const TxnBuffer& buf);
 
+  const std::string node_name_;
   PolarFs* fs_;
   const Catalog* catalog_;
   BufferPool* ro_pool_;
@@ -227,6 +222,7 @@ class ReplicationPipeline {
   ThreadPool* pool_;
   RowStoreEngine* replica_engine_;
   ReplicationOptions options_;
+  Vid skip_vids_upto_ = 0;
   LogStore* source_log_;  // the log this pipeline tails (redo or binlog)
   RedoParser parser_;
   RedoReader reader_;

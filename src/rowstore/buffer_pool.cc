@@ -7,33 +7,24 @@ Status BufferPool::GetPage(PageId id, PageRef* out) {
     std::lock_guard<std::mutex> g(mu_);
     auto it = pages_.find(id);
     if (it != pages_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      TouchLocked(id);
       *out = it->second;
       return Status::OK();
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
   std::string image;
   IMCI_RETURN_NOT_OK(fs_->ReadPage(id, &image));
   auto page = std::make_shared<Page>();
   IMCI_RETURN_NOT_OK(Page::Deserialize(image.data(), image.size(), page.get()));
   std::lock_guard<std::mutex> g(mu_);
-  auto [it, inserted] = pages_.emplace(id, page);
-  if (inserted) {
-    TouchLocked(id);
-    MaybeEvictLocked();
-  }
-  *out = it->second;
+  // A racing miss may have attached the page first; keep its copy.
+  *out = pages_.emplace(id, page).first->second;
   return Status::OK();
 }
 
 PageRef BufferPool::GetCached(PageId id) {
   std::lock_guard<std::mutex> g(mu_);
   auto it = pages_.find(id);
-  if (it == pages_.end()) return nullptr;
-  TouchLocked(id);
-  return it->second;
+  return it == pages_.end() ? nullptr : it->second;
 }
 
 PageRef BufferPool::NewPage(PageId id, TableId table_id, PageType type) {
@@ -44,8 +35,6 @@ PageRef BufferPool::NewPage(PageId id, TableId table_id, PageType type) {
   std::lock_guard<std::mutex> g(mu_);
   pages_[id] = page;
   dirty_.insert(id);
-  TouchLocked(id);
-  MaybeEvictLocked();
   return page;
 }
 
@@ -54,8 +43,6 @@ void BufferPool::PutPage(PageRef page, bool dirty) {
   PageId id = page->id;
   pages_[id] = std::move(page);
   if (dirty) dirty_.insert(id);
-  TouchLocked(id);
-  MaybeEvictLocked();
 }
 
 void BufferPool::MarkDirty(PageId id) {
@@ -96,49 +83,6 @@ Status BufferPool::FlushAllResident() {
   }
   for (PageId id : all) IMCI_RETURN_NOT_OK(FlushPage(id));
   return Status::OK();
-}
-
-void BufferPool::Drop(PageId id) {
-  std::lock_guard<std::mutex> g(mu_);
-  pages_.erase(id);
-  dirty_.erase(id);
-  auto it = lru_pos_.find(id);
-  if (it != lru_pos_.end()) {
-    lru_.erase(it->second);
-    lru_pos_.erase(it);
-  }
-}
-
-size_t BufferPool::resident_pages() const {
-  std::lock_guard<std::mutex> g(mu_);
-  return pages_.size();
-}
-
-void BufferPool::TouchLocked(PageId id) {
-  auto it = lru_pos_.find(id);
-  if (it != lru_pos_.end()) lru_.erase(it->second);
-  lru_.push_front(id);
-  lru_pos_[id] = lru_.begin();
-}
-
-void BufferPool::MaybeEvictLocked() {
-  if (capacity_ == 0) return;
-  while (pages_.size() > capacity_ && !lru_.empty()) {
-    // Evict the coldest *clean* page; dirty pages are skipped here (they are
-    // flushed by checkpoints). Scan from the back.
-    auto rit = lru_.rbegin();
-    bool evicted = false;
-    for (; rit != lru_.rend(); ++rit) {
-      if (dirty_.count(*rit)) continue;
-      PageId victim = *rit;
-      pages_.erase(victim);
-      lru_.erase(std::next(rit).base());
-      lru_pos_.erase(victim);
-      evicted = true;
-      break;
-    }
-    if (!evicted) break;  // everything dirty; let it grow
-  }
 }
 
 }  // namespace imci

@@ -1,8 +1,6 @@
 #ifndef POLARDB_IMCI_ROWSTORE_BUFFER_POOL_H_
 #define POLARDB_IMCI_ROWSTORE_BUFFER_POOL_H_
 
-#include <atomic>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -20,13 +18,15 @@ namespace imci {
 /// optimization of "maintaining the buffer pool of the row store like RW to
 /// reduce the amount of data page reads" (§5.3).
 ///
-/// Pages are reference-counted (PageRef); an LRU list bounds the resident
-/// count, evicting clean cold pages (dirty pages are flushed first).
+/// Pages are reference-counted (PageRef) and the pool is unbounded: once a
+/// page is resident it stays resident. RO replay (Phase#1) applies page
+/// changes in place and never marks them dirty — the RW owns the shared
+/// copy — so evicting an RO page and re-reading it from shared storage would
+/// lose every change replayed since the RW last flushed it. A page hit is one
+/// map lookup under the mutex.
 class BufferPool {
  public:
-  /// `capacity_pages` of 0 means unbounded.
-  BufferPool(PolarFs* fs, size_t capacity_pages = 0)
-      : fs_(fs), capacity_(capacity_pages) {}
+  explicit BufferPool(PolarFs* fs) : fs_(fs) {}
 
   /// Fetches a page, reading it from shared storage on miss. Returns nullptr
   /// status NotFound if the page exists nowhere.
@@ -54,25 +54,11 @@ class BufferPool {
   /// this to persist replica pages (with their page LSNs) for fast scale-out.
   Status FlushAllResident();
 
-  void Drop(PageId id);
-
-  uint64_t hits() const { return hits_.load(); }
-  uint64_t misses() const { return misses_.load(); }
-  size_t resident_pages() const;
-
  private:
-  void TouchLocked(PageId id);
-  void MaybeEvictLocked();
-
   PolarFs* fs_;
-  size_t capacity_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::unordered_map<PageId, PageRef> pages_;
   std::unordered_set<PageId> dirty_;
-  std::list<PageId> lru_;  // front == most recent
-  std::unordered_map<PageId, std::list<PageId>::iterator> lru_pos_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
 };
 
 }  // namespace imci

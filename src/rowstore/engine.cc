@@ -7,9 +7,8 @@
 
 namespace imci {
 
-RowStoreEngine::RowStoreEngine(PolarFs* fs, Catalog* catalog,
-                               size_t pool_capacity)
-    : fs_(fs), catalog_(catalog), pool_(fs, pool_capacity) {}
+RowStoreEngine::RowStoreEngine(PolarFs* fs, Catalog* catalog)
+    : fs_(fs), catalog_(catalog), pool_(fs) {}
 
 Status RowStoreEngine::CreateTable(std::shared_ptr<const Schema> schema) {
   catalog_->Register(schema);

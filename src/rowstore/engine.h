@@ -26,7 +26,7 @@ namespace imci {
 /// pages are maintained by Phase#1 replay.
 class RowStoreEngine {
  public:
-  RowStoreEngine(PolarFs* fs, Catalog* catalog, size_t pool_capacity = 0);
+  RowStoreEngine(PolarFs* fs, Catalog* catalog);
 
   /// Creates an empty table and registers the schema in the shared catalog.
   Status CreateTable(std::shared_ptr<const Schema> schema);

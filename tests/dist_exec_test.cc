@@ -474,6 +474,70 @@ TEST_F(DistExecTest, FragmentBelowPruneWatermarkAnswersBusy) {
   EXPECT_EQ(std::get<int64_t>(now.rows[0][0]), 48);
 }
 
+// A channel whose applied-VID probe is stuck at an old VID: the coordinator
+// then picks a common snapshot below what the node has already pruned.
+class StaleProbeChannel : public InProcessFragmentChannel {
+ public:
+  StaleProbeChannel(RoNode* node, Vid stale)
+      : InProcessFragmentChannel(node), stale_(stale) {}
+  Vid applied_vid() const override { return stale_; }
+
+ private:
+  Vid stale_;
+};
+
+// A participant that refuses to register the snapshot (it already pruned
+// below it) is ahead of the snapshot, not behind it: the coordinator retries
+// elsewhere and counts no straggler. Here every participant refuses, so the
+// query falls back with the straggler counter untouched.
+TEST_F(DistExecTest, RefusedSnapshotIsNotAStraggler) {
+  ClusterOptions opts;
+  opts.initial_ro_nodes = 2;
+  opts.ro.imci.row_group_size = 256;
+  opts.coordinator.min_rows_touched = 0;
+  opts.coordinator.rows_per_fragment = 500.0;
+  auto cluster = std::make_unique<Cluster>(opts);
+  ASSERT_TRUE(cluster->CreateTable(SnapSchema()).ok());
+  std::vector<Row> rows;
+  for (int64_t id = 0; id < kSnapRows; ++id) rows.push_back(Row{id, 0});
+  ASSERT_TRUE(cluster->BulkLoad(kSnap, std::move(rows)).ok());
+  ASSERT_TRUE(cluster->Open().ok());
+  for (RoNode* ro : cluster->ro_nodes()) {
+    ASSERT_TRUE(ro->CatchUpNow().ok());
+    ro->RefreshStats();
+  }
+  const Vid v0 = cluster->ro(0)->applied_vid();
+  {
+    auto* txns = cluster->rw()->txn_manager();
+    Transaction txn;
+    txns->Begin(&txn);
+    ASSERT_TRUE(txns->Update(&txn, kSnap, 0, Row{int64_t{0}, int64_t{1}}).ok());
+    ASSERT_TRUE(txns->Commit(&txn).ok());
+  }
+  for (RoNode* ro : cluster->ro_nodes()) {
+    ASSERT_TRUE(ro->CatchUpNow().ok());
+    // Raise the registry bound past v0, as a maintenance pass would.
+    ASSERT_GT(ro->engine()->snapshots()->Watermark(
+                  ro->pipeline()->applied_vid_ref()),
+              v0);
+  }
+  QueryCoordinator coord(cluster->catalog(), opts.coordinator, [&] {
+    std::vector<std::unique_ptr<FragmentChannel>> chans;
+    for (RoNode* ro : cluster->ro_nodes()) {
+      chans.push_back(std::make_unique<StaleProbeChannel>(ro, v0));
+    }
+    return chans;
+  });
+  auto plan = LAgg(LScan(kSnap, {0}), {},
+                   {AggSpec{AggKind::kCountStar, nullptr}});
+  std::vector<Row> out;
+  bool attempted = true;
+  ASSERT_TRUE(coord.Execute(plan, 0, &out, &attempted).ok());
+  EXPECT_FALSE(attempted) << "every participant should refuse VID " << v0;
+  EXPECT_EQ(coord.fallbacks(), 1u);
+  EXPECT_EQ(coord.stragglers(), 0u);
+}
+
 // Straggler shedding: one participant's replication reads are slowed to a
 // crawl so it cannot cover the common snapshot inside the catch-up budget.
 // It must answer Busy, get shed, and the query completes correctly on the

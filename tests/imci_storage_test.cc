@@ -61,6 +61,44 @@ TEST(ColumnIndexTest, DeleteRemovesLocatorMapping) {
   EXPECT_EQ(idx.visible_rows(2), 0u);
 }
 
+// The locator maps a PK to its newest version only; a lookup at an older
+// read view must still find the version that view sees.
+TEST(ColumnIndexTest, LookupByPkAtOlderViewReturnsOlderVersion) {
+  ColumnIndex idx(TestSchema(), SmallGroups());
+  ASSERT_TRUE(idx.Insert({int64_t(1), int64_t(10), Value{}, Value{}}, 1).ok());
+  ASSERT_TRUE(idx.Update({int64_t(1), int64_t(20), Value{}, Value{}}, 2).ok());
+  Row row;
+  ASSERT_TRUE(idx.LookupByPk(1, 1, &row).ok());
+  EXPECT_EQ(AsInt(row[1]), 10);
+  ASSERT_TRUE(idx.LookupByPk(1, 2, &row).ok());
+  EXPECT_EQ(AsInt(row[1]), 20);
+  EXPECT_TRUE(idx.LookupByPk(1, 0, &row).IsNotFound());
+}
+
+// Compaction re-appends live rows at the compaction VID and points the
+// locator at the new copies; views below it still read the retired group,
+// including rows deleted (and so gone from the locator) before compaction.
+TEST(ColumnIndexTest, LookupByPkBelowCompactionVid) {
+  ColumnIndexOptions opts;
+  opts.row_group_size = 4;
+  ColumnIndex idx(TestSchema(), opts);
+  for (int64_t pk = 0; pk < 4; ++pk) {
+    ASSERT_TRUE(idx.Insert({pk, 100 + pk, Value{}, Value{}}, 5).ok());
+  }
+  for (int64_t pk = 0; pk < 3; ++pk) ASSERT_TRUE(idx.Delete(pk, 8).ok());
+  uint32_t moved = 0;
+  ASSERT_TRUE(idx.CompactGroup(0, 10, &moved).ok());
+  ASSERT_EQ(moved, 1u);
+  Row row;
+  ASSERT_TRUE(idx.LookupByPk(3, 9, &row).ok());  // the retired copy
+  EXPECT_EQ(AsInt(row[1]), 103);
+  ASSERT_TRUE(idx.LookupByPk(3, 10, &row).ok());  // the re-appended copy
+  EXPECT_EQ(AsInt(row[1]), 103);
+  ASSERT_TRUE(idx.LookupByPk(0, 7, &row).ok());  // deleted at VID 8
+  EXPECT_EQ(AsInt(row[1]), 100);
+  EXPECT_TRUE(idx.LookupByPk(0, 9, &row).IsNotFound());
+}
+
 TEST(ColumnIndexTest, GroupsGrowAcrossBoundary) {
   ColumnIndex idx(TestSchema(), SmallGroups());
   for (int64_t i = 0; i < 200; ++i) {

@@ -146,21 +146,6 @@ TEST_F(RowStoreTest, BulkLoadThenPointReads) {
   EXPECT_EQ(AsString(row[2]), "v4321");
 }
 
-TEST(BufferPoolTest, EvictsCleanColdPages) {
-  PolarFs fs;
-  BufferPool pool(&fs, 4);
-  for (PageId id = 1; id <= 8; ++id) {
-    pool.NewPage(id, 1, PageType::kLeaf);
-    ASSERT_TRUE(pool.FlushPage(id).ok());  // clean it so it can be evicted
-  }
-  EXPECT_LE(pool.resident_pages(), 4u);
-  // Evicted pages are reloaded from shared storage on demand.
-  PageRef page;
-  ASSERT_TRUE(pool.GetPage(1, &page).ok());
-  EXPECT_EQ(page->id, 1u);
-  EXPECT_GT(pool.misses(), 0u);
-}
-
 TEST(LockManagerTest, ExclusiveAndReentrant) {
   LockManager locks(5'000);
   ASSERT_TRUE(locks.Lock(1, 1, 42).ok());

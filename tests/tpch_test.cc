@@ -103,11 +103,11 @@ TEST_F(TpchTest, RoutingSendsPointQueriesToRowEngine) {
   auto cust = cluster_->catalog()->GetByName("customer");
   auto plan = LScan(cust->table_id(), {0, 5},
                     Eq(Col(0, DataType::kInt64), ConstInt(42)));
-  RoutingDecision d = RouteQuery(plan, *ro_->stats(), 20000.0);
+  RoutingDecision d = RouteQuery(plan, *ro_->stats());
   EXPECT_EQ(d.engine, EngineChoice::kRowEngine);
   auto li = cluster_->catalog()->GetByName("lineitem");
   auto big = LScan(li->table_id(), {5, 6}, nullptr);
-  d = RouteQuery(big, *ro_->stats(), 20000.0);
+  d = RouteQuery(big, *ro_->stats());
   EXPECT_EQ(d.engine, EngineChoice::kColumnEngine);
 }
 

@@ -241,31 +241,4 @@ Status ArchiveStore::ReadRecords(const std::string& log_name, Lsn from, Lsn to,
   return Status::OK();
 }
 
-Status ArchiveStore::BinlogLsnForVid(Vid vid, Lsn* lsn) const {
-  *lsn = 0;
-  std::vector<ArchivedSegment> segs;
-  Status s = LoadManifest("binlog", &segs);
-  if (s.IsNotFound()) return Status::OK();
-  IMCI_RETURN_NOT_OK(s);
-  for (const ArchivedSegment& seg : segs) {
-    // Commit VIDs and binlog LSNs are both assigned in commit order, so the
-    // per-segment ranges are monotone: stop at the first segment entirely
-    // above the target.
-    if (seg.min_vid > vid) break;
-    std::vector<std::string> payloads;
-    IMCI_RETURN_NOT_OK(DecodeSegment("binlog", seg, &payloads));
-    Lsn cur = seg.first - 1;
-    for (const std::string& rec : payloads) {
-      ++cur;
-      Tid tid = 0;
-      Vid v = 0;
-      uint64_t ts = 0;
-      std::vector<BinlogWriter::Event> events;
-      if (!BinlogWriter::DecodeTxn(rec, &tid, &v, &ts, &events)) continue;
-      if (v <= vid) *lsn = cur;
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace imci

@@ -21,10 +21,8 @@ struct ArchivedSegment {
   Lsn last = 0;
   uint64_t bytes = 0;         // archived segment file size
   uint64_t payload_hash = 0;  // hash of the file, re-verified on every read
-  /// Commit-VID range of the segment's records — binlog space only (the
-  /// commit-VID <-> LSN mapping that recycling prunes from the live
-  /// BinlogWriter survives here at segment granularity; 0/0 for other
-  /// logs). BinlogLsnForVid resolves exact positions on demand.
+  /// Commit-VID range of the segment's records — binlog space only (0/0
+  /// for other logs). Kept in the manifest format; no reader uses it.
   Vid min_vid = 0;
   Vid max_vid = 0;
 };
@@ -74,11 +72,6 @@ class ArchiveStore : public ArchiveSink {
   /// Corruption, never a silent skip.
   Status ReadRecords(const std::string& log_name, Lsn from, Lsn to,
                      std::vector<std::string>* out, Lsn* last) const;
-
-  /// Binlog LSN of the newest archived commit record with VID <= `vid`
-  /// (0 when none) — the archive-side half of BinlogWriter::LsnForVid,
-  /// covering the prefix recycling made the live map forget.
-  Status BinlogLsnForVid(Vid vid, Lsn* lsn) const;
 
   SnapshotStore* snapshots() { return &snapshots_; }
   const SnapshotStore* snapshots() const { return &snapshots_; }

@@ -1,7 +1,6 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
-#include <chrono>
 #include <thread>
 #include <unordered_map>
 
@@ -48,18 +47,24 @@ RoNode* Proxy::AcquireRo() {
 
 Status Proxy::ExecuteQuery(const LogicalRef& plan, std::vector<Row>* out,
                            Consistency consistency, EngineChoice* chosen) {
+  // Strong reads (§6.4) see every commit made before submission: the RW's
+  // published commit VID is sampled once here, and whichever node answers
+  // must have applied up to it. (Not last_commit_vid(): that also counts
+  // commits still inside their commit call, which the submitter cannot
+  // have observed.) Commit VIDs are shared by both apply
+  // sources, so one fence serves redo-reuse and logical-binlog nodes alike;
+  // and since only commits advance it, open transactions and rollbacks
+  // never hold a reader back. Eventual reads use floor 0, which every node
+  // already covers.
+  const Vid committed = consistency == Consistency::kStrong
+                            ? rw_->txn_manager()->snapshot_vid()
+                            : 0;
   if (coordinator_ != nullptr) {
     // Distributed-first: fan the query out across the healthy RO fleet at
-    // one common snapshot. Strong reads raise the snapshot floor to the
-    // RW's committed VID at submission — every transaction the submitter
-    // could have observed is below it, which is the VID-space equivalent of
-    // the wait-on-written-LSN discipline on the single-RO path. Anything
-    // the coordinator declines or abandons falls through unchanged.
-    const Vid floor = consistency == Consistency::kStrong
-                          ? rw_->txn_manager()->snapshot_vid()
-                          : 0;
+    // one common snapshot no lower than `committed`. Anything the
+    // coordinator declines or abandons falls through unchanged.
     bool attempted = false;
-    Status s = coordinator_->Execute(plan, floor, out, &attempted);
+    Status s = coordinator_->Execute(plan, committed, out, &attempted);
     if (attempted) {
       if (chosen) *chosen = EngineChoice::kColumnEngine;
       return s;
@@ -75,39 +80,11 @@ Status Proxy::ExecuteQuery(const LogicalRef& plan, std::vector<Row>* out,
       if (chosen) *chosen = EngineChoice::kRowEngine;
       return rw_->ExecuteSnapshot(plan, out);
     }
-    if (consistency == Consistency::kStrong) {
-      bool lost = false;
-      if (ro->pipeline()->source() == ApplySource::kLogicalBinlog) {
-        // A logical-apply node tracks binlog LSNs, which are a different
-        // space from the RW's redo LSN. Commit VIDs are shared, so
-        // translate: the commit point published at submission maps (via the
-        // binlog writer's VID → binlog-LSN table) to the binlog LSN whose
-        // application makes every such commit visible — the same §6.4
-        // wait-on-LSN discipline as the redo arm, in the right LSN space.
-        // (Waiting on last_commit_vid() instead would fence on transactions
-        // still *inside* their commit call — ones the submitter could never
-        // have observed.)
-        const Vid committed = rw_->txn_manager()->snapshot_vid();
-        const Lsn target = rw_->binlog()->LsnForVid(committed);
-        while (ro->pipeline()->applied_lsn() < target) {
-          if (!ro->healthy()) { lost = true; break; }
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-        }
-      } else {
-        // §6.4: only route to an RO whose applied LSN is not less than the
-        // RW's written LSN observed at submission.
-        const Lsn written = rw_->written_lsn();
-        while (ro->applied_lsn() < written) {
-          if (!ro->healthy()) { lost = true; break; }
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-        }
-      }
-      if (lost) {
-        // The node wedged or was retired mid-wait: release it (unblocking
-        // the evictor's drain) and re-route instead of hanging forever.
-        ro->LeaveSession();
-        continue;
-      }
+    if (!ro->WaitForVid(committed).ok()) {
+      // The node wedged or was retired mid-wait: release it (unblocking
+      // the evictor's drain) and re-route instead of hanging forever.
+      ro->LeaveSession();
+      continue;
     }
     Status s = ro->Execute(plan, out, chosen);
     ro->LeaveSession();
@@ -273,11 +250,7 @@ Status Cluster::RecycleBinlogLocked(Lsn* recycled_upto) {
   }
   if (!has_consumer) return Status::OK();
   IMCI_RETURN_NOT_OK(fs_.log("binlog")->Truncate(safe));
-  const Lsn cut = fs_.log("binlog")->truncated_lsn();
-  // Recycled records were applied by every consumer, so no strong read can
-  // need their VID → LSN fence entries anymore; keep the map bounded.
-  rw_->binlog()->ForgetVidsBelow(cut);
-  if (recycled_upto) *recycled_upto = cut;
+  if (recycled_upto) *recycled_upto = fs_.log("binlog")->truncated_lsn();
   return Status::OK();
 }
 

@@ -1,7 +1,6 @@
 #include "cluster/fragment_service.h"
 
 #include <chrono>
-#include <thread>
 #include <utility>
 
 #include "common/coding.h"
@@ -115,17 +114,8 @@ Status FragmentService::Execute(const FragmentRequest& req,
   // coordinator's VID in time answers Busy — the coordinator then shrinks
   // the participant set rather than stalling the whole query on one
   // straggler.
-  Status status;
   const auto wait_start = std::chrono::steady_clock::now();
-  while (status.ok() && node_->applied_vid() < req.read_vid) {
-    if (!node_->healthy()) {
-      status = Status::Busy("node unhealthy during catch-up");
-    } else if (ElapsedUs(wait_start) >= req.catchup_timeout_us) {
-      status = Status::Busy("snapshot catch-up timeout");
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  }
+  Status status = node_->WaitForVid(req.read_vid, req.catchup_timeout_us);
   rsp->wait_us = ElapsedUs(wait_start);
   rsp->applied_vid = node_->applied_vid();
 

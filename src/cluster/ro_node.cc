@@ -147,6 +147,18 @@ Status RoNode::CatchUpNow() {
   return pipeline_.CatchUp(pipeline_.source_durable_lsn());
 }
 
+Status RoNode::WaitForVid(Vid vid, uint64_t timeout_us) const {
+  const uint64_t start = NowMicros();
+  while (applied_vid() < vid) {
+    if (!healthy()) return Status::Busy("node unhealthy during catch-up");
+    if (NowMicros() - start >= timeout_us) {
+      return Status::Busy("snapshot catch-up timeout");
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return Status::OK();
+}
+
 Status RoNode::ExecuteColumn(const LogicalRef& plan, std::vector<Row>* out,
                              int parallelism, int* dop_used) {
   // Register the applied point as this plan's read view (§6.4): the sample

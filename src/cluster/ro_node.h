@@ -2,6 +2,7 @@
 #define POLARDB_IMCI_CLUSTER_RO_NODE_H_
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -91,7 +92,12 @@ class RoNode {
 
   const std::string& name() const { return name_; }
   Vid applied_vid() const { return pipeline_.applied_vid(); }
-  Lsn applied_lsn() const { return pipeline_.applied_lsn(); }
+  /// Waits until applied_vid() >= `vid`: the freshness fence of strong
+  /// reads (Proxy::ExecuteQuery) and of fragment catch-up
+  /// (FragmentService::Execute). Polls every 100 µs, sleeping so the apply
+  /// workers the wait depends on keep the core. Returns OK once covered;
+  /// Busy if the node stops being healthy or `timeout_us` passes first.
+  Status WaitForVid(Vid vid, uint64_t timeout_us = UINT64_MAX) const;
   uint64_t LsnDelay() const { return pipeline_.LsnDelay(); }
   bool replicating() const { return replicating_.load(); }
 

@@ -5,11 +5,10 @@
 
 namespace imci {
 
-RwNode::RwNode(PolarFs* fs, Catalog* catalog, uint64_t lock_timeout_us)
+RwNode::RwNode(PolarFs* fs, Catalog* catalog)
     : fs_(fs),
       engine_(fs, catalog),
       redo_(fs->log("redo")),
-      locks_(lock_timeout_us),
       binlog_(fs->log("binlog")),
       txns_(&engine_, &redo_, &locks_, &binlog_) {}
 

@@ -17,7 +17,7 @@ namespace imci {
 /// through shared storage.
 class RwNode {
  public:
-  RwNode(PolarFs* fs, Catalog* catalog, uint64_t lock_timeout_us = 50'000);
+  RwNode(PolarFs* fs, Catalog* catalog);
 
   Status CreateTable(std::shared_ptr<const Schema> schema) {
     return engine_.CreateTable(std::move(schema));
@@ -51,8 +51,7 @@ class RwNode {
   BinlogWriter* binlog() { return &binlog_; }
   PolarFs* fs() { return fs_; }
 
-  /// LSN of the most recent durable append (the proxy's "written LSN" used
-  /// for strong consistency, §6.4).
+  /// LSN of the most recent redo append, of any record kind.
   Lsn written_lsn() const { return redo_.last_lsn(); }
 
  private:

@@ -63,9 +63,6 @@ class ArenaReadRegistry {
   /// every slot is idle or carries an era >= stamp.
   bool QuiescedSince(uint64_t stamp) const;
 
-  /// Open reader sections right now (tests/stats; racy by nature).
-  size_t active_readers() const;
-
  private:
   ArenaReadRegistry() = default;
 

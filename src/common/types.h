@@ -37,17 +37,6 @@ enum class DataType : uint8_t {
   kDate = 4,
 };
 
-inline const char* DataTypeName(DataType t) {
-  switch (t) {
-    case DataType::kInt64: return "INT64";
-    case DataType::kInt32: return "INT32";
-    case DataType::kDouble: return "DOUBLE";
-    case DataType::kString: return "STRING";
-    case DataType::kDate: return "DATE";
-  }
-  return "?";
-}
-
 inline bool IsIntegerType(DataType t) {
   return t == DataType::kInt64 || t == DataType::kInt32 ||
          t == DataType::kDate;

@@ -36,7 +36,6 @@ class ColumnIndex {
               ColumnIndexOptions options = ColumnIndexOptions());
 
   const Schema& schema() const { return *schema_; }
-  const std::vector<int>& indexed_columns() const { return cols_; }
   /// Pack ordinal for a schema column ordinal, or -1 if not indexed.
   int PackForColumn(int col) const;
 

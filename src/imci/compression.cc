@@ -161,12 +161,6 @@ Status IntCodec::Decode(const std::string& data, std::vector<int64_t>* values) {
   return Status::OK();
 }
 
-size_t IntCodec::EncodedSize(const std::vector<int64_t>& values) {
-  std::string tmp;
-  Encode(values, &tmp);
-  return tmp.size();
-}
-
 void DictCodec::Encode(const std::vector<std::string>& values,
                        std::string* out) {
   const uint32_t n = static_cast<uint32_t>(values.size());

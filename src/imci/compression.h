@@ -23,8 +23,6 @@ class IntCodec {
  public:
   static void Encode(const std::vector<int64_t>& values, std::string* out);
   static Status Decode(const std::string& data, std::vector<int64_t>* values);
-  /// Compressed size the encoder would produce (for stats/ablation).
-  static size_t EncodedSize(const std::vector<int64_t>& values);
 };
 
 /// Dictionary codec for strings: unique values sorted into a dictionary,

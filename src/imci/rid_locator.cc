@@ -86,24 +86,4 @@ void RidLocator::Restore(const std::vector<std::vector<RunRef>>& shards) {
   }
 }
 
-size_t RidLocator::ApproxSize() const {
-  size_t n = 0;
-  for (int i = 0; i < kShards; ++i) {
-    const Shard& shard = shards_[i];
-    std::shared_lock<std::shared_mutex> g(shard.mu);
-    n += shard.mem.size();
-    for (const RunRef& run : shard.runs) n += run->entries.size();
-  }
-  return n;
-}
-
-bool RidLocator::MemtablesEmpty() const {
-  for (int i = 0; i < kShards; ++i) {
-    const Shard& shard = shards_[i];
-    std::shared_lock<std::shared_mutex> g(shard.mu);
-    if (!shard.mem.empty()) return false;
-  }
-  return true;
-}
-
 }  // namespace imci

@@ -59,7 +59,6 @@ class RowGroup {
   uint32_t capacity() const { return capacity_; }
   Rid base_rid() const { return base_rid_; }
   int num_packs() const { return static_cast<int>(cols_.size()); }
-  const std::vector<int>& pack_columns() const { return cols_; }
 
   /// Writes the indexed columns of `row` into slot `offset`. Does not make
   /// the row visible; call SetInsertVid afterwards.
@@ -127,10 +126,8 @@ class RowGroup {
   void Retire() { retired_.store(true, std::memory_order_release); }
   bool retired() const { return retired_.load(std::memory_order_acquire); }
 
-  /// Maximum insert VID observed (for insert-map dropping).
-  Vid max_insert_vid() const {
-    return max_insert_vid_.load(std::memory_order_acquire);
-  }
+  /// Records `v` in the group's maximum insert VID (for insert-map
+  /// dropping).
   void NoteInsertVid(Vid v);
 
   // Checkpoint support: raw access to VID arrays.
@@ -143,7 +140,6 @@ class RowGroup {
   std::atomic<Vid>* raw_insert_vids() { return insert_vids_.get(); }
   std::atomic<Vid>* raw_delete_vids() { return delete_vids_.get(); }
   ColumnPack* mutable_pack(int pack) { return &packs_[pack]; }
-  PackMeta* mutable_meta(int pack) { return &metas_[pack]; }
   /// Recomputes all pack metas over the first `used` slots (checkpoint load).
   void RebuildMeta(uint32_t used);
 

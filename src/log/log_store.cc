@@ -350,7 +350,6 @@ Status LogStore::Truncate(Lsn lsn) {
     (void)fs_->DeleteFile(segments_.front().file);
     truncated_lsn_.store(segments_.front().last, std::memory_order_release);
     segments_.pop_front();
-    segments_recycled_.fetch_add(1, std::memory_order_relaxed);
     recycled = true;
   }
   if (recycled) {

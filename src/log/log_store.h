@@ -150,7 +150,6 @@ class LogStore {
 
   const std::string& name() const { return name_; }
   size_t segment_count() const;
-  uint64_t segments_recycled() const { return segments_recycled_.load(); }
 
   /// Attaches the archive sink. From then on Truncate seals every segment
   /// into the sink before deleting it, and stops recycling (leaving the
@@ -213,7 +212,6 @@ class LogStore {
   std::deque<Segment> segments_;  // ascending LSN; back() is active
   std::atomic<Lsn> written_lsn_{0};
   std::atomic<Lsn> truncated_lsn_{0};
-  std::atomic<uint64_t> segments_recycled_{0};
   std::atomic<bool> poisoned_{false};
 };
 

@@ -78,7 +78,6 @@ Status PolarFs::SyncLog() {
 }
 
 Status PolarFs::SyncControl() {
-  control_syncs_.fetch_add(1, std::memory_order_relaxed);
   SimulateLatency(options_.fsync_latency_us);
   return fault::Maybe("polarfs.fsync.control");
 }
@@ -177,14 +176,6 @@ std::vector<std::string> PolarFs::ListFiles(const std::string& prefix) const {
     if (name.rfind(prefix, 0) == 0) v.push_back(name);
   }
   return v;
-}
-
-void PolarFs::ResetCounters() {
-  fsyncs_ = 0;
-  control_syncs_ = 0;
-  log_bytes_ = 0;
-  page_reads_ = 0;
-  page_writes_ = 0;
 }
 
 }  // namespace imci

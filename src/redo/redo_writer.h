@@ -53,6 +53,11 @@ class RedoWriter {
   /// them).
   Lsn durable_lsn() const { return log_->durable_lsn(); }
 
+  /// Poisons the log at its durable watermark (LogStore::PoisonToDurable),
+  /// as a failed batch fsync does: every later append and commit is refused
+  /// until recovery reopens the log.
+  void PoisonToDurable() { log_->PoisonToDurable(log_->durable_lsn()); }
+
  private:
   LogStore* log_;
   std::mutex mu_;

@@ -28,7 +28,6 @@ void LogicalApplySource::DecodeRaw(Lsn first_lsn,
     txn.tid = tid;
     txn.vid = vid;
     txn.commit_ts_us = ts;
-    txn.lsn = lsn;
     txn.dmls.reserve(events.size());
     for (BinlogWriter::Event& e : events) {
       LogicalDml dml;
@@ -58,8 +57,6 @@ void LogicalApplySource::DecodeRaw(Lsn first_lsn,
       }
       txn.dmls.push_back(std::move(dml));
     }
-    dmls_.fetch_add(txn.dmls.size(), std::memory_order_relaxed);
-    txns_.fetch_add(1, std::memory_order_relaxed);
     out->push_back(std::move(txn));
   }
 }

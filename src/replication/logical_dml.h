@@ -40,12 +40,6 @@ struct TxnBuffer {
   };
   std::vector<PreOp> pre_ops;
   bool pre_committed = false;
-
-  size_t ApproxBytes() const {
-    size_t s = 0;
-    for (const LogicalDml& d : dmls) s += 64 + d.row.size() * 24;
-    return s;
-  }
 };
 
 /// A unit of Phase#2 work: one row-level operation dispatched by

@@ -37,7 +37,6 @@ ReplicationPipeline::~ReplicationPipeline() { Stop(); }
 
 void ReplicationPipeline::Start(Lsn from_lsn, Vid start_vid) {
   read_lsn_.store(from_lsn, std::memory_order_release);
-  applied_lsn_.store(from_lsn, std::memory_order_release);
   applied_vid_.store(start_vid, std::memory_order_release);
   {
     std::lock_guard<std::mutex> g(health_mu_);
@@ -320,7 +319,6 @@ Status ReplicationPipeline::PollLogicalOnce() {
     txn.buffer->dmls = std::move(lt.dmls);
     txn.vid = lt.vid;
     txn.commit_ts_us = lt.commit_ts_us;
-    txn.lsn = lt.lsn;
     batch.push_back(std::move(txn));
   }
   if (!batch.empty()) ApplyBatch(batch);
@@ -390,7 +388,6 @@ Status ReplicationPipeline::PollRedoOnce() {
     txn.buffer = std::move(buf);
     txn.vid = d.vid;
     txn.commit_ts_us = d.commit_ts_us;
-    txn.lsn = d.lsn;
     fresh.push_back(std::move(txn));
   }
   if (options_.commit_ahead) {
@@ -438,7 +435,6 @@ Status ReplicationPipeline::BootstrapFromArchive(Lsn upto) {
       txn.buffer->dmls = std::move(lt.dmls);
       txn.vid = lt.vid;
       txn.commit_ts_us = lt.commit_ts_us;
-      txn.lsn = lt.lsn;
       batch.push_back(std::move(txn));
     }
     if (!batch.empty()) ApplyBatch(batch);
@@ -632,7 +628,6 @@ void ReplicationPipeline::ApplyBatch(std::vector<CommittedTxn>& batch) {
   // Batch commit: advance the node's read view only after every op of every
   // transaction in the batch landed, so readers see transactions atomically.
   applied_vid_.store(last.vid, std::memory_order_release);
-  applied_lsn_.store(last.lsn, std::memory_order_release);
   committed_txns_.fetch_add(batch.size(), std::memory_order_relaxed);
   const uint64_t now = NowMicros();
   for (const CommittedTxn& txn : batch) {

@@ -102,16 +102,12 @@ class ReplicationPipeline {
   const std::atomic<Vid>& applied_vid_ref() const { return applied_vid_; }
   /// LSN up to which the log has been consumed.
   Lsn read_lsn() const { return read_lsn_.load(std::memory_order_acquire); }
-  /// Which log this pipeline consumes, and its current written tail. LSNs
-  /// (read_lsn/applied_lsn) are in that log's LSN space.
+  /// Which log this pipeline consumes; read_lsn is in that log's LSN space.
   ApplySource source() const { return options_.source; }
-  Lsn source_written_lsn() const { return source_log_->written_lsn(); }
   /// The source log's durable watermark — the highest LSN this pipeline will
   /// ever consume. The written-but-unfsynced tail beyond it is retractable
   /// (a failed batch fsync trims it), so replicas never build state on it.
   Lsn source_durable_lsn() const { return source_log_->durable_lsn(); }
-  /// LSN of the last applied commit record.
-  Lsn applied_lsn() const { return applied_lsn_.load(std::memory_order_acquire); }
   /// Durable-but-unconsumed backlog (Fig. 14's "LSN delay"), bounded by
   /// the consumable ceiling (source_durable_lsn).
   uint64_t LsnDelay() const;
@@ -185,7 +181,6 @@ class ReplicationPipeline {
     std::shared_ptr<TxnBuffer> buffer;
     Vid vid = 0;
     uint64_t commit_ts_us = 0;
-    Lsn lsn = 0;
   };
 
   void CoordinatorLoop();
@@ -232,7 +227,6 @@ class ReplicationPipeline {
   std::vector<CommittedTxn> delayed_;  // CALS-off emulation
 
   std::atomic<Lsn> read_lsn_{0};
-  std::atomic<Lsn> applied_lsn_{0};
   std::atomic<Vid> applied_vid_{0};
   std::atomic<uint64_t> applied_ops_{0};
   std::atomic<uint64_t> committed_txns_{0};

@@ -253,7 +253,6 @@ Status RedoParser::ParseChunk(std::vector<RedoRecord>& records,
         d.commit = rec.type == RedoType::kCommit;
         d.vid = rec.commit_vid;
         d.commit_ts_us = rec.commit_ts_us;
-        d.lsn = rec.lsn;
         decisions->push_back(d);
         break;
       }
@@ -276,7 +275,6 @@ Status RedoParser::ParseChunk(std::vector<RedoRecord>& records,
             [](const LogicalDml& a, const LogicalDml& b) {
               return a.lsn < b.lsn;
             });
-  dmls_produced_.fetch_add(total, std::memory_order_relaxed);
   return Status::OK();
 }
 

@@ -35,7 +35,6 @@ class RedoParser {
     bool commit = false;
     Vid vid = 0;
     uint64_t commit_ts_us = 0;
-    Lsn lsn = 0;
   };
 
   /// `replica_engine` (optional) is the RO node's row-store engine whose
@@ -52,7 +51,6 @@ class RedoParser {
                     std::vector<Decision>* decisions);
 
   uint64_t records_applied() const { return records_applied_.load(); }
-  uint64_t dmls_produced() const { return dmls_produced_.load(); }
 
  private:
   /// Phase-B payload computed by PreparePageRecord under a shared page
@@ -100,7 +98,6 @@ class RedoParser {
   int parallelism_;
   RowStoreEngine* replica_engine_;
   std::atomic<uint64_t> records_applied_{0};
-  std::atomic<uint64_t> dmls_produced_{0};
 };
 
 }  // namespace imci

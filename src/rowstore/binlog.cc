@@ -29,37 +29,7 @@ Lsn BinlogWriter::EnqueueTxn(Tid tid, Vid vid, uint64_t commit_ts_us,
   // the Binlog baseline's OLTP loss — is the caller's SyncTo, outside any
   // ordering mutex, so concurrent commits share it per batch.
   std::lock_guard<std::mutex> g(mu_);
-  const Lsn lsn = log_->Append({std::move(buf)}, /*durable=*/false, error);
-  if (lsn == 0) return 0;  // failed append: no record, no fence entry
-  vid_to_lsn_[vid] = lsn;  // strong-read fence translation (LsnForVid)
-  // Bound the map even when nothing ever recycles the binlog (no
-  // logical-apply consumer attached): a strong read translates the commit
-  // point sampled at submission immediately, so only the newest few entries
-  // can ever be queried — entries older than the in-flight commit window
-  // are dead weight. The generous cap keeps ~64k recent fences.
-  constexpr size_t kVidMapCap = 1u << 16;
-  while (vid_to_lsn_.size() > kVidMapCap) {
-    vid_to_lsn_.erase(vid_to_lsn_.begin());
-  }
-  return lsn;
-}
-
-Lsn BinlogWriter::LsnForVid(Vid vid) const {
-  std::lock_guard<std::mutex> g(mu_);
-  auto it = vid_to_lsn_.upper_bound(vid);
-  if (it == vid_to_lsn_.begin()) return 0;
-  return std::prev(it)->second;
-}
-
-void BinlogWriter::ForgetVidsBelow(Lsn lsn) {
-  std::lock_guard<std::mutex> g(mu_);
-  for (auto it = vid_to_lsn_.begin(); it != vid_to_lsn_.end();) {
-    if (it->second <= lsn) {
-      it = vid_to_lsn_.erase(it);
-    } else {
-      break;  // monotone in both coordinates: nothing later qualifies
-    }
-  }
+  return log_->Append({std::move(buf)}, /*durable=*/false, error);
 }
 
 bool BinlogWriter::DecodeTxn(const std::string& data, Tid* tid, Vid* vid,

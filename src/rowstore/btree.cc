@@ -323,18 +323,4 @@ Status BTree::BulkLoad(
   return Status::OK();
 }
 
-size_t BTree::CountLeaves() const {
-  size_t n = 0;
-  PageRef meta;
-  if (!GetMeta(const_cast<PageRef*>(&meta)).ok()) return 0;
-  PageId pid = meta->first_leaf;
-  while (pid != kInvalidPageId) {
-    PageRef leaf;
-    if (!pool_->GetPage(pid, &leaf).ok()) break;
-    ++n;
-    pid = leaf->next_leaf;
-  }
-  return n;
-}
-
 }  // namespace imci

@@ -65,8 +65,6 @@ class BTree {
       const std::vector<std::pair<int64_t, std::string>>& sorted_rows);
 
   PageId meta_page_id() const { return meta_page_id_; }
-  /// Number of leaf pages (diagnostics).
-  size_t CountLeaves() const;
 
  private:
   Status GetMeta(PageRef* meta) const;

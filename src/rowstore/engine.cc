@@ -49,11 +49,6 @@ const RowTable* RowStoreEngine::GetTable(TableId id) const {
   return it == tables_.end() ? nullptr : it->second.get();
 }
 
-RowTable* RowStoreEngine::GetTableByName(const std::string& name) {
-  auto schema = catalog_->GetByName(name);
-  return schema ? GetTable(schema->table_id()) : nullptr;
-}
-
 std::vector<RowTable*> RowStoreEngine::AllTables() {
   std::lock_guard<std::mutex> g(mu_);
   std::vector<RowTable*> out;
@@ -138,6 +133,15 @@ RowTable::RedoShipFn TransactionManager::MakeShip(Transaction* txn) {
       ptrs.push_back(&r);
     }
     txn->last_lsn_ = redo_->Append(std::move(ptrs), /*durable=*/false);
+    if (txn->last_lsn_ == 0) {
+      // The log refused the records, but the page change they describe is
+      // already in the tree: pages are now ahead of the log, and physical
+      // replay cannot skip a record (an unlogged split would orphan every
+      // later record on its new page). Poison the log while the table latch
+      // still holds back the next writer, so no later record lands on top
+      // of the gap; this transaction's commit record is refused with it.
+      redo_->PoisonToDurable();
+    }
     txn->dml_count_++;
   };
 }
@@ -534,9 +538,8 @@ Status TransactionManager::Rollback(Transaction* txn) {
 }
 
 void TransactionManager::ReleaseLocks(Transaction* txn) {
-  // Strict 2PL: everything the transaction holds goes at commit/rollback.
-  // Released from the txn's own acquisition list (O(locks held)) rather
-  // than LockManager::UnlockAll, which scans every shard.
+  // Strict 2PL: everything the transaction holds goes at commit/rollback,
+  // released per key from the txn's own acquisition list (O(locks held)).
   for (auto& [table, pk] : txn->locks_) locks_->Unlock(txn->tid_, table, pk);
   txn->locks_.clear();
 }

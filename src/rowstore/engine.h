@@ -38,14 +38,12 @@ class RowStoreEngine {
 
   RowTable* GetTable(TableId id);
   const RowTable* GetTable(TableId id) const;
-  RowTable* GetTableByName(const std::string& name);
   /// Every registered table (checkpoint-time version pruning walks these).
   std::vector<RowTable*> AllTables();
 
   BufferPool* buffer_pool() { return &pool_; }
   Catalog* catalog() { return catalog_; }
   const Catalog* catalog() const { return catalog_; }
-  std::atomic<PageId>* page_allocator() { return &page_alloc_; }
 
   /// Live snapshots on this node (rowstore/mvcc.h): the RW's transaction
   /// manager registers its read views here, an RO node its row plans,

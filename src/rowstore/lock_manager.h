@@ -15,11 +15,11 @@
 
 namespace imci {
 
-/// Row-level shared/exclusive lock table for the RW node (strict 2PL,
-/// released in bulk at commit/rollback via UnlockAll). Deadlocks are resolved
-/// by lock-wait timeout -> the requesting transaction receives Status::Busy
-/// and is expected to abort and retry, which is how the TPC-C driver handles
-/// contention.
+/// Row-level shared/exclusive lock table for the RW node (strict 2PL: the
+/// transaction manager releases every hold at commit/rollback). Deadlocks
+/// are resolved by lock-wait timeout -> the requesting transaction receives
+/// Status::Busy and is expected to abort and retry, which is how the TPC-C
+/// driver handles contention.
 ///
 /// Conflict matrix (holder vs requester):
 ///            S held    X held
@@ -98,44 +98,6 @@ class LockManager {
     if (released) shard.cv.notify_all();
   }
 
-  /// Releases every lock `tid` holds by scanning all shards — O(total live
-  /// locks), for callers that did not track their acquisitions. Hot paths
-  /// that keep an acquisition list (TransactionManager) release per key
-  /// instead.
-  void UnlockAll(Tid tid) {
-    for (Shard& shard : shards_) {
-      bool released = false;
-      {
-        std::lock_guard<std::mutex> g(shard.mu);
-        for (auto it = shard.entries.begin(); it != shard.entries.end();) {
-          released |= ReleaseHold(&it->second, tid);
-          if (it->second.Free()) {
-            it = shard.entries.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
-      if (released) shard.cv.notify_all();
-    }
-  }
-
-  /// Number of keys on which `tid` currently holds any lock (tests/debug).
-  size_t HeldCount(Tid tid) const {
-    size_t n = 0;
-    for (const Shard& shard : shards_) {
-      std::lock_guard<std::mutex> g(shard.mu);
-      for (const auto& [k, e] : shard.entries) {
-        if (e.x_owner == tid ||
-            std::find(e.sharers.begin(), e.sharers.end(), tid) !=
-                e.sharers.end()) {
-          ++n;
-        }
-      }
-    }
-    return n;
-  }
-
  private:
   static constexpr Tid kNoOwner = 0;  // transaction ids are 1-based
 
@@ -158,7 +120,7 @@ class LockManager {
     bool Free() const { return x_owner == kNoOwner && sharers.empty(); }
   };
   struct Shard {
-    mutable std::mutex mu;
+    std::mutex mu;
     std::condition_variable cv;
     std::unordered_map<LockKey, Entry, LockKeyHash> entries;
   };

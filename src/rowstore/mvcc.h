@@ -84,8 +84,6 @@ class RowVersion {
     }
   }
 
-  RowVersion* next_mutable() { return next_.load(std::memory_order_acquire); }
-
   std::atomic<uint64_t> stamp_;      // kInflightBit|tid, or commit VID
   std::atomic<RowVersion*> next_;    // older version (newest-first chain)
   uint32_t image_len_;

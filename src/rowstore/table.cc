@@ -386,30 +386,6 @@ Status RowTable::SnapshotIndexLookupRange(Vid s, int col, int64_t lo,
   return Status::OK();
 }
 
-Status RowTable::IndexLookup(int col, int64_t key,
-                             std::vector<int64_t>* pks) const {
-  std::shared_lock<WriterPrioritySharedMutex> g(latch_);
-  auto idx = sec_index_.find(col);
-  if (idx == sec_index_.end()) return Status::NotSupported("no index");
-  auto it = idx->second.find(key);
-  if (it != idx->second.end()) {
-    pks->assign(it->second.begin(), it->second.end());
-  }
-  return Status::OK();
-}
-
-Status RowTable::IndexLookupRange(int col, int64_t lo, int64_t hi,
-                                  std::vector<int64_t>* pks) const {
-  std::shared_lock<WriterPrioritySharedMutex> g(latch_);
-  auto idx = sec_index_.find(col);
-  if (idx == sec_index_.end()) return Status::NotSupported("no index");
-  for (auto it = idx->second.lower_bound(lo);
-       it != idx->second.end() && it->first <= hi; ++it) {
-    pks->insert(pks->end(), it->second.begin(), it->second.end());
-  }
-  return Status::OK();
-}
-
 Status RowTable::BulkLoad(std::vector<Row> rows) {
   std::sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
     return AsInt(a[schema_->pk_col()]) < AsInt(b[schema_->pk_col()]);

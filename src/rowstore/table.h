@@ -175,11 +175,6 @@ class RowTable {
   Status ScanRange(int64_t lo, int64_t hi,
                    const std::function<bool(int64_t, const Row&)>& fn) const;
 
-  /// Secondary-index equality lookup: returns the PKs whose `col` equals
-  /// `key`. Returns NotSupported if no index exists on `col`.
-  Status IndexLookup(int col, int64_t key, std::vector<int64_t>* pks) const;
-  Status IndexLookupRange(int col, int64_t lo, int64_t hi,
-                          std::vector<int64_t>* pks) const;
   bool HasIndexOn(int col) const { return sec_index_.count(col) > 0; }
 
   /// Bulk-loads rows sorted by PK without redo; also builds secondary

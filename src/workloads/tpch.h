@@ -36,10 +36,7 @@ class TpchGen {
   /// Generates all rows of one table.
   std::vector<Row> Generate(TpchTable table);
 
-  int64_t num_customers() const { return n_customer_; }
   int64_t num_orders() const { return n_orders_; }
-  int64_t num_parts() const { return n_part_; }
-  int64_t num_suppliers() const { return n_supplier_; }
 
   static int64_t LineitemPk(int64_t orderkey, int linenumber) {
     return orderkey * 8 + linenumber;

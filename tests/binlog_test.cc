@@ -28,6 +28,16 @@ struct ReplayedTxn {
   std::vector<Event> events;
 };
 
+/// Durably appends one transaction's record: the enqueue + sync pair the
+/// transaction manager runs at commit, without a transaction around it.
+Status CommitTxn(BinlogWriter* binlog, Tid tid, Vid vid,
+                 uint64_t commit_ts_us, const std::vector<Event>& events) {
+  Status s;
+  const Lsn lsn = binlog->EnqueueTxn(tid, vid, commit_ts_us, events, &s);
+  IMCI_RETURN_NOT_OK(s);
+  return binlog->SyncTo(lsn);
+}
+
 std::vector<ReplayedTxn> ReplayAll(PolarFs* fs) {
   std::vector<ReplayedTxn> out;
   BinlogWriter::Replay(
@@ -50,11 +60,13 @@ TEST(BinlogTest, EmptyLogReplaysNothing) {
 TEST(BinlogTest, RoundTripPreservesCommitOrderAndPayloads) {
   PolarFs fs;
   BinlogWriter binlog(fs.log("binlog"));
-  (void)binlog.CommitTxn(11, 1, 1001,
-                   {MakeEvent(Event::Op::kInsert, 1, 100, "row-100"),
-                    MakeEvent(Event::Op::kUpdate, 1, 100, "row-100v2")});
-  (void)binlog.CommitTxn(12, 2, 1002, {MakeEvent(Event::Op::kDelete, 2, 7)});
-  (void)binlog.CommitTxn(13, 3, 1003, {});  // empty txn is still a commit record
+  (void)CommitTxn(&binlog, 11, 1, 1001,
+                  {MakeEvent(Event::Op::kInsert, 1, 100, "row-100"),
+                   MakeEvent(Event::Op::kUpdate, 1, 100, "row-100v2")});
+  (void)CommitTxn(&binlog, 12, 2, 1002,
+                  {MakeEvent(Event::Op::kDelete, 2, 7)});
+  // An empty txn is still a commit record.
+  (void)CommitTxn(&binlog, 13, 3, 1003, {});
   EXPECT_EQ(binlog.txns_written(), 3u);
   EXPECT_EQ(binlog.last_seq(), 3u);
 
@@ -83,8 +95,8 @@ TEST(BinlogTest, EveryCommitPaysItsOwnFsync) {
   PolarFs fs;
   BinlogWriter binlog(fs.log("binlog"));
   const uint64_t before = fs.fsync_count();
-  (void)binlog.CommitTxn(1, 1, 0, {MakeEvent(Event::Op::kInsert, 1, 1, "x")});
-  (void)binlog.CommitTxn(2, 2, 0, {MakeEvent(Event::Op::kInsert, 1, 2, "y")});
+  (void)CommitTxn(&binlog, 1, 1, 0, {MakeEvent(Event::Op::kInsert, 1, 1, "x")});
+  (void)CommitTxn(&binlog, 2, 2, 0, {MakeEvent(Event::Op::kInsert, 1, 2, "y")});
   EXPECT_EQ(fs.fsync_count(), before + 2);
 }
 
@@ -94,9 +106,9 @@ TEST(BinlogTest, TruncatedTailStopsReplayAtLastGoodRecord) {
   PolarFs fs(opt);
   BinlogWriter binlog(fs.log("binlog"));
   for (int i = 1; i <= 5; ++i) {
-    (void)binlog.CommitTxn(i, i, 0,
-                     {MakeEvent(Event::Op::kInsert, 1, i,
-                                "payload-" + std::to_string(i))});
+    (void)CommitTxn(&binlog, i, i, 0,
+                    {MakeEvent(Event::Op::kInsert, 1, i,
+                               "payload-" + std::to_string(i))});
   }
   // Simulated crash mid-write: the segment's durable tail loses its last
   // bytes, tearing the final record's frame.
@@ -119,9 +131,9 @@ TEST(BinlogTest, SeqResumesAfterRecoveryOnSegmentedLayout) {
   {
     BinlogWriter binlog(fs.log("binlog"));
     for (int i = 1; i <= 6; ++i) {
-      (void)binlog.CommitTxn(i, i, 0,
-                       {MakeEvent(Event::Op::kInsert, 1, i,
-                                  "old-" + std::to_string(i))});
+      (void)CommitTxn(&binlog, i, i, 0,
+                      {MakeEvent(Event::Op::kInsert, 1, i,
+                                 "old-" + std::to_string(i))});
     }
   }
   ASSERT_GE(fs.log("binlog")->segment_count(), 2u);
@@ -145,8 +157,8 @@ TEST(BinlogTest, SeqResumesAfterRecoveryOnSegmentedLayout) {
   // the LogStore's recovered LSN *is* the resume point).
   BinlogWriter resumed(fs.log("binlog"));
   EXPECT_EQ(resumed.last_seq(), recovered);
-  (void)resumed.CommitTxn(100, 100, 0,
-                    {MakeEvent(Event::Op::kInsert, 1, 100, "new-100")});
+  (void)CommitTxn(&resumed, 100, 100, 0,
+                  {MakeEvent(Event::Op::kInsert, 1, 100, "new-100")});
 
   auto txns = ReplayAll(&fs);
   ASSERT_EQ(txns.size(), recovered + 1);
@@ -169,7 +181,8 @@ TEST(BinlogTest, DecodeRejectsShortBuffers) {
 TEST(BinlogTest, DecodeRejectsFlippedPayloadByte) {
   PolarFs fs;
   BinlogWriter binlog(fs.log("binlog"));
-  (void)binlog.CommitTxn(1, 1, 0, {MakeEvent(Event::Op::kInsert, 1, 1, "payload")});
+  (void)CommitTxn(&binlog, 1, 1, 0,
+                  {MakeEvent(Event::Op::kInsert, 1, 1, "payload")});
   std::vector<std::string> raw;
   fs.log("binlog")->Read(0, 1, &raw);
   ASSERT_EQ(raw.size(), 1u);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <thread>
 
 #include "tests/test_util.h"
@@ -80,6 +82,76 @@ TEST_F(ClusterTest, StrongConsistencyReadsYourWrites) {
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(AsInt(out[0][0]), round + 1);
   }
+}
+
+// Issues a strong COUNT(*) over table 1 on another thread and reports
+// whether it returned within two seconds. A read still blocked then is
+// released by `unblock` (a later commit moves the fence), so a regression
+// fails the test instead of hanging it.
+bool StrongCountReturns(Cluster* cluster, const std::function<void()>& unblock,
+                        int64_t* count) {
+  auto plan =
+      LAgg(LScan(1, {0}), {}, {AggSpec{AggKind::kCountStar, nullptr}});
+  std::atomic<bool> done{false};
+  Status status;
+  std::vector<Row> out;
+  std::thread reader([&] {
+    status = cluster->proxy()->ExecuteQuery(plan, &out, Consistency::kStrong);
+    done.store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!done.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool returned = done.load();
+  if (!returned) unblock();
+  reader.join();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  *count = out.size() == 1 ? AsInt(out[0][0]) : -1;
+  return returned;
+}
+
+// Commit-ahead log shipping puts an open transaction's DML records in the
+// redo log before its commit. They must not hold a strong read back: the
+// read is owed only what was committed before it was submitted.
+TEST_F(ClusterTest, StrongReadDoesNotWaitOnAnOpenTransaction) {
+  auto* txns = cluster_->rw()->txn_manager();
+  Transaction open;
+  txns->Begin(&open);
+  ASSERT_TRUE(txns->Insert(&open, 1, {int64_t(30000), int64_t(1)}).ok());
+  bool committed = false;
+  auto commit = [&] {
+    ASSERT_TRUE(txns->Commit(&open).ok());
+    committed = true;
+  };
+  int64_t count = 0;
+  EXPECT_TRUE(StrongCountReturns(cluster_.get(), commit, &count))
+      << "strong read blocked behind an uncommitted transaction";
+  if (!committed) {
+    EXPECT_EQ(count, 1000);  // the open transaction's row is not visible
+    commit();
+  }
+}
+
+// A rollback appends compensation records and no commit. A strong read
+// issued after it must return without waiting for some later commit.
+TEST_F(ClusterTest, StrongReadAfterRollbackNeedsNoLaterCommit) {
+  auto* txns = cluster_->rw()->txn_manager();
+  Transaction txn;
+  txns->Begin(&txn);
+  ASSERT_TRUE(txns->Insert(&txn, 1, {int64_t(30000), int64_t(1)}).ok());
+  ASSERT_TRUE(txns->Rollback(&txn).ok());
+  auto later_commit = [&] {
+    Transaction next;
+    txns->Begin(&next);
+    ASSERT_TRUE(txns->Insert(&next, 1, {int64_t(30001), int64_t(1)}).ok());
+    ASSERT_TRUE(txns->Commit(&next).ok());
+  };
+  int64_t count = 0;
+  ASSERT_TRUE(StrongCountReturns(cluster_.get(), later_commit, &count))
+      << "strong read blocked after a rollback until a later commit";
+  EXPECT_EQ(count, 1000);
 }
 
 TEST_F(ClusterTest, LeaderDesignationAndFailover) {

@@ -94,6 +94,10 @@ TEST_F(FaultStormTest, RecoveredStateIsPerThreadAckedPrefixUnderFullStorm) {
   constexpr int64_t kRange = 10'000;  // per-thread pk stride
   auto* txns = rw.txn_manager();
   std::vector<int> acked(kThreads, 0);
+  // Commit-record LSN of each acknowledged commit, in ack order: on a gap it
+  // tells a lost durable record (recovery/replay) from an ack given before
+  // the record was durable.
+  std::vector<std::vector<Lsn>> acked_lsns(kThreads);
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
@@ -108,6 +112,7 @@ TEST_F(FaultStormTest, RecoveredStateIsPerThreadAckedPrefixUnderFullStorm) {
         if (s.ok()) {
           // Only an acknowledged commit advances the sequence: pk order ==
           // commit-LSN order, the property the prefix oracle needs.
+          acked_lsns[t].push_back(txn.commit_lsn());
           acked[t] = ++i;
           consecutive_failures = 0;
           continue;
@@ -135,6 +140,7 @@ TEST_F(FaultStormTest, RecoveredStateIsPerThreadAckedPrefixUnderFullStorm) {
   // log to its good prefix and the poison latch (if any) clears.
   reg.Reset();
   ASSERT_TRUE(fs.ReopenLogs().ok());
+  const Lsn recovered_durable = fs.log("redo")->durable_lsn();
 
   RoNodeOptions ro_opts;
   RoNode node("post-storm", &fs, &catalog, ro_opts);
@@ -168,7 +174,19 @@ TEST_F(FaultStormTest, RecoveredStateIsPerThreadAckedPrefixUnderFullStorm) {
                  << " recovered=" << recovered[t].size());
     // Contiguous from the range base: gap-free, reorder-free.
     for (size_t j = 0; j < recovered[t].size(); ++j) {
-      ASSERT_EQ(recovered[t][j], (t + 1) * kRange + static_cast<int64_t>(j));
+      const int64_t expected = (t + 1) * kRange + static_cast<int64_t>(j);
+      ::testing::Message why;
+      if (recovered[t][j] != expected && j < acked_lsns[t].size()) {
+        const Lsn lsn = acked_lsns[t][j];
+        why << "missing pk " << expected << " was acked with commit LSN "
+            << lsn << ", recovered durable LSN " << recovered_durable << ": "
+            << (lsn <= recovered_durable
+                    ? "its record is inside the recovered log, so recovery "
+                      "or replay lost it"
+                    : "its record is past the recovered log, so the commit "
+                      "was acked before it was durable");
+      }
+      ASSERT_EQ(recovered[t][j], expected) << why;
     }
     // Never more than was acknowledged (a never-acked row surfacing means a
     // refused commit leaked); possibly fewer (torn-below-durable loss).
@@ -186,6 +204,47 @@ TEST_F(FaultStormTest, RecoveredStateIsPerThreadAckedPrefixUnderFullStorm) {
     return true;
   }).ok());
   EXPECT_EQ(testing_util::Canonicalize(raw), testing_util::Canonicalize(got));
+}
+
+// The storm's lost-ack case, made deterministic: the log refuses an
+// insert's DML record, yet the insert is already in the RW tree. Were the
+// commit acknowledged, its commit record would land with no DML before it
+// and recovery would lose the row. The refusal poisons the log instead, so
+// the commit fails and the recovered state holds only acknowledged rows.
+TEST_F(FaultStormTest, RefusedDmlAppendFailsTheCommit) {
+  PolarFs fs;
+  Catalog catalog;
+  RwNode rw(&fs, &catalog);
+  ASSERT_TRUE(rw.CreateTable(StormSchema()).ok());
+  ASSERT_TRUE(rw.BulkLoad(1, {{int64_t(0), int64_t(0)}}).ok());
+  ASSERT_TRUE(rw.FinishLoad().ok());
+  auto* txns = rw.txn_manager();
+  Transaction acked;
+  txns->Begin(&acked);
+  ASSERT_TRUE(txns->Insert(&acked, 1, {int64_t(1), int64_t(1)}).ok());
+  ASSERT_TRUE(txns->Commit(&acked).ok());
+
+  auto& reg = fault::Registry::Instance();
+  fault::Policy refuse_next;
+  refuse_next.hit_at = 1;  // the next append: the insert's DML record
+  reg.Arm("logstore.append", refuse_next);
+  Transaction txn;
+  txns->Begin(&txn);
+  Status s = txns->Insert(&txn, 1, {int64_t(2), int64_t(2)});
+  if (s.ok()) s = txns->Commit(&txn);
+  EXPECT_EQ(reg.fires("logstore.append"), 1u);
+  EXPECT_FALSE(s.ok()) << "commit acknowledged without its DML record";
+
+  reg.Reset();
+  ASSERT_TRUE(fs.ReopenLogs().ok());
+  RoNode node("recovered", &fs, &catalog, RoNodeOptions{});
+  ASSERT_TRUE(node.Boot().ok());
+  ASSERT_TRUE(node.CatchUpNow().ok());
+  std::vector<Row> got;
+  ASSERT_TRUE(node.ExecuteColumn(LScan(1, {0, 1}), &got).ok());
+  EXPECT_EQ(testing_util::Canonicalize(got),
+            testing_util::Canonicalize({{int64_t(0), int64_t(0)},
+                                        {int64_t(1), int64_t(1)}}));
 }
 
 }  // namespace

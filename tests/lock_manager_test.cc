@@ -25,7 +25,10 @@ TEST(LockManagerTest, ExclusiveIsReentrant) {
   LockManager lm(kShortTimeoutUs);
   ASSERT_TRUE(lm.Lock(1, 7, 42).ok());
   EXPECT_TRUE(lm.Lock(1, 7, 42).ok());
-  EXPECT_EQ(lm.HeldCount(1), 1u);
+  EXPECT_TRUE(lm.Lock(2, 7, 42).IsBusy());
+  // One hold, not two: a single Unlock frees the key.
+  lm.Unlock(1, 7, 42);
+  EXPECT_TRUE(lm.Lock(2, 7, 42).ok());
 }
 
 TEST(LockManagerTest, SharedIsCompatibleWithShared) {
@@ -33,9 +36,14 @@ TEST(LockManagerTest, SharedIsCompatibleWithShared) {
   ASSERT_TRUE(lm.LockShared(1, 7, 42).ok());
   ASSERT_TRUE(lm.LockShared(2, 7, 42).ok());
   ASSERT_TRUE(lm.LockShared(3, 7, 42).ok());
-  // Re-entrant share keeps a single hold.
+  // Re-entrant share keeps a single hold: one Unlock per sharer frees the
+  // key for an exclusive lock.
   ASSERT_TRUE(lm.LockShared(1, 7, 42).ok());
-  EXPECT_EQ(lm.HeldCount(1), 1u);
+  lm.Unlock(1, 7, 42);
+  lm.Unlock(2, 7, 42);
+  EXPECT_TRUE(lm.Lock(4, 7, 42).IsBusy());  // tid 3 still shares it
+  lm.Unlock(3, 7, 42);
+  EXPECT_TRUE(lm.Lock(4, 7, 42).ok());
 }
 
 TEST(LockManagerTest, SharedBlocksExclusiveAndViceVersa) {
@@ -51,7 +59,11 @@ TEST(LockManagerTest, ExclusiveHolderGetsSharedForFree) {
   LockManager lm(kShortTimeoutUs);
   ASSERT_TRUE(lm.Lock(1, 7, 42).ok());
   EXPECT_TRUE(lm.LockShared(1, 7, 42).ok());
-  EXPECT_EQ(lm.HeldCount(1), 1u);
+  // The shared request added no hold of its own: the exclusive lock still
+  // excludes others, and one Unlock releases everything.
+  EXPECT_TRUE(lm.LockShared(2, 7, 42).IsBusy());
+  lm.Unlock(1, 7, 42);
+  EXPECT_TRUE(lm.Lock(2, 7, 42).ok());
 }
 
 TEST(LockManagerTest, SoleSharerUpgradesOthersTimeout) {
@@ -60,7 +72,7 @@ TEST(LockManagerTest, SoleSharerUpgradesOthersTimeout) {
   // Sole shared holder may upgrade in place.
   ASSERT_TRUE(lm.Lock(1, 7, 42).ok());
   EXPECT_TRUE(lm.LockShared(2, 7, 42).IsBusy());
-  lm.UnlockAll(1);
+  lm.Unlock(1, 7, 42);
 
   // With two sharers, neither can upgrade (classic upgrade deadlock is
   // resolved by the wait timeout).
@@ -76,25 +88,6 @@ TEST(LockManagerTest, UnlockByNonOwnerIsNoOp) {
   EXPECT_TRUE(lm.Lock(2, 7, 42).IsBusy());  // tid 1 still owns it
 }
 
-TEST(LockManagerTest, UnlockAllReleasesEveryHold) {
-  LockManager lm(kShortTimeoutUs);
-  for (int64_t k = 0; k < 100; ++k) {
-    ASSERT_TRUE(lm.Lock(1, 7, k).ok());
-  }
-  for (int64_t k = 100; k < 150; ++k) {
-    ASSERT_TRUE(lm.LockShared(1, 8, k).ok());
-  }
-  ASSERT_TRUE(lm.Lock(2, 9, 1).ok());  // unrelated holder survives
-  EXPECT_EQ(lm.HeldCount(1), 150u);
-  lm.UnlockAll(1);
-  EXPECT_EQ(lm.HeldCount(1), 0u);
-  EXPECT_EQ(lm.HeldCount(2), 1u);
-  // All released keys are immediately grantable to others.
-  for (int64_t k = 0; k < 100; ++k) {
-    EXPECT_TRUE(lm.Lock(3, 7, k).ok());
-  }
-}
-
 TEST(LockManagerTest, ReleaseWakesWaiter) {
   LockManager lm(/*timeout_us=*/2'000'000);
   ASSERT_TRUE(lm.Lock(1, 7, 42).ok());
@@ -106,7 +99,7 @@ TEST(LockManagerTest, ReleaseWakesWaiter) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(acquired.load());
-  lm.UnlockAll(1);
+  lm.Unlock(1, 7, 42);
   waiter.join();
   EXPECT_TRUE(acquired.load());
 }
@@ -134,7 +127,11 @@ TEST(LockManagerTest, TransactionCommitReleasesAllRowLocks) {
   for (int64_t pk = 0; pk < 10; ++pk) {
     ASSERT_TRUE(txns.Insert(&writer, 1, {pk, pk * 2}).ok());
   }
-  EXPECT_EQ(locks.HeldCount(writer.tid()), 10u);
+  // Another tid finds every uncommitted row locked.
+  constexpr Tid kProbe = 1'000'000;
+  for (int64_t pk = 0; pk < 10; ++pk) {
+    EXPECT_TRUE(locks.Lock(kProbe, 1, pk).IsBusy()) << pk;
+  }
 
   // A concurrent transaction cannot touch the uncommitted rows.
   Transaction other;
@@ -143,14 +140,16 @@ TEST(LockManagerTest, TransactionCommitReleasesAllRowLocks) {
   EXPECT_TRUE(txns.GetForUpdate(&other, 1, 3, &row).IsBusy());
 
   ASSERT_TRUE(txns.Commit(&writer).ok());
-  EXPECT_EQ(locks.HeldCount(writer.tid()), 0u);
   // ... and after commit every one of them is grantable.
   for (int64_t pk = 0; pk < 10; ++pk) {
     ASSERT_TRUE(txns.GetForUpdate(&other, 1, pk, &row).ok());
     EXPECT_EQ(AsInt(row[1]), pk * 2);
   }
   ASSERT_TRUE(txns.Rollback(&other).ok());
-  EXPECT_EQ(locks.HeldCount(other.tid()), 0u);
+  // Rollback released the other transaction's locks too.
+  for (int64_t pk = 0; pk < 10; ++pk) {
+    EXPECT_TRUE(locks.Lock(kProbe, 1, pk).ok()) << pk;
+  }
 }
 
 }  // namespace

@@ -111,11 +111,11 @@ TEST_F(LogicalApplyTest, AbortedTransactionsNeverReachTheBinlog) {
 }
 
 TEST_F(LogicalApplyTest, StrongReadsWaitOnCommitVidsAcrossLsnSpaces) {
-  // Binlog LSNs are a different space from the RW's redo LSN, so the proxy's
-  // strong-consistency wait translates the commit point observed at
-  // submission through the binlog writer's commit-VID → binlog-LSN map and
-  // waits on the node's applied binlog LSN — comparing redo LSNs across
-  // spaces would spin forever (regression test).
+  // Binlog LSNs are a different space from the RW's redo LSN, so no LSN
+  // can fence a logical-apply node. The proxy fences on the commit VID
+  // instead, which both logs carry: the read waits until the node's applied
+  // VID reaches the RW's commit VID sampled at submission (regression test:
+  // comparing redo LSNs across spaces would spin forever).
   Transaction txn;
   txns_->Begin(&txn);
   ASSERT_TRUE(
@@ -129,6 +129,31 @@ TEST_F(LogicalApplyTest, StrongReadsWaitOnCommitVidsAcrossLsnSpaces) {
                   .ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(AsInt(out[0][0]), 101);  // read-your-writes observed the commit
+}
+
+TEST_F(LogicalApplyTest, StrongReadDoesNotWaitOnAnOpenTransaction) {
+  // The binlog arm shares the proxy's commit-VID fence: a transaction still
+  // open at submission owes the reader nothing, so the read returns at once
+  // with the committed state and without the open transaction's row.
+  Transaction open;
+  txns_->Begin(&open);
+  ASSERT_TRUE(
+      txns_->Insert(&open, 1, {int64_t(3000), int64_t(3), Value{}}).ok());
+  auto plan =
+      LAgg(LScan(1, {0}), {}, {AggSpec{AggKind::kCountStar, nullptr}});
+  std::vector<Row> out;
+  ASSERT_TRUE(cluster_->proxy()
+                  ->ExecuteQuery(plan, &out, Consistency::kStrong)
+                  .ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(AsInt(out[0][0]), 100);
+  ASSERT_TRUE(txns_->Commit(&open).ok());
+  out.clear();
+  ASSERT_TRUE(cluster_->proxy()
+                  ->ExecuteQuery(plan, &out, Consistency::kStrong)
+                  .ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(AsInt(out[0][0]), 101);
 }
 
 TEST(BinlogRecycleTest, TruncatesBelowTheSlowestLogicalCursorAndNoFurther) {

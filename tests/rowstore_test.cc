@@ -120,17 +120,17 @@ TEST_F(RowStoreTest, SecondaryIndexMaintainedAcrossDml) {
   ASSERT_TRUE(table_->Insert({int64_t(2), int64_t(100), Value{}}, &redo).ok());
   ASSERT_TRUE(table_->Insert({int64_t(3), int64_t(200), Value{}}, &redo).ok());
   std::vector<int64_t> pks;
-  ASSERT_TRUE(table_->IndexLookup(1, 100, &pks).ok());
+  ASSERT_TRUE(table_->SnapshotIndexLookup(kMaxVid, 1, 100, &pks).ok());
   EXPECT_EQ(pks.size(), 2u);
   Row old_row;
   ASSERT_TRUE(table_->Update(2, {int64_t(2), int64_t(200), Value{}}, &old_row,
                              &redo).ok());
   pks.clear();
-  ASSERT_TRUE(table_->IndexLookup(1, 200, &pks).ok());
+  ASSERT_TRUE(table_->SnapshotIndexLookup(kMaxVid, 1, 200, &pks).ok());
   EXPECT_EQ(pks.size(), 2u);
   ASSERT_TRUE(table_->Delete(3, &old_row, &redo).ok());
   pks.clear();
-  ASSERT_TRUE(table_->IndexLookupRange(1, 0, 1000, &pks).ok());
+  ASSERT_TRUE(table_->SnapshotIndexLookupRange(kMaxVid, 1, 0, 1000, &pks).ok());
   EXPECT_EQ(pks.size(), 2u);
 }
 
